@@ -92,7 +92,9 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
       sampler->stop();  // ring is safe to read / hand off from here
       if (sampler_out != nullptr) *sampler_out = std::move(sampler);
     }
-    if (traced && reg != nullptr) {
+    // The last rep's report feeds the metrics snapshot, traced or not: the
+    // thread report and lock counters accrue without a trace session.
+    if (reg != nullptr && rep == reps - 1) {
       obs::register_thread_report(*reg, report);
       obs::register_engine_lock_stats(*reg, engine.lock_stats());
     }

@@ -66,7 +66,9 @@ ShardRun run_config(const G& game, const ers::core::EngineConfig& cfg,
     runtime::ThreadExecutor<core::Engine<G>> exec(threads);
     exec.with_batch_size(batch).with_trace(traced ? trace : nullptr);
     const auto report = exec.run(engine);
-    if (traced && reg != nullptr) {
+    // The last rep's report feeds the metrics snapshot, traced or not: the
+    // thread report and lock counters accrue without a trace session.
+    if (reg != nullptr && rep == reps - 1) {
       obs::register_thread_report(*reg, report);
       obs::register_engine_lock_stats(*reg, engine.lock_stats());
     }

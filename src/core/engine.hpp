@@ -135,6 +135,7 @@
 #include "obs/trace.hpp"
 #include "search/er_serial.hpp"
 #include "util/check.hpp"
+#include "util/insertion_sort.hpp"
 #include "util/value.hpp"
 
 namespace ers::core {
@@ -188,6 +189,11 @@ class Engine {
     /// this on cancellation, and commit_one mirrors it onto the unit's
     /// kUnitCommit trace event so ledger and trace reconcile bit for bit.
     std::uint64_t compute_ns = 0;
+    /// Scratch, not part of the result: the serial-ER record arena and
+    /// sort buffers the unit computed with.  It rides along so an executor
+    /// that recycles results (one pool per worker) recycles the arena too,
+    /// and a warm unit searches without allocating.
+    ErSerialArena<G> arena;
   };
 
   Engine(const G&&, EngineConfig) = delete;  // the game must outlive the engine
@@ -462,9 +468,13 @@ class Engine {
     return acquire_batch_from(fold_shard(s, shards_.size()), k, out);
   }
 
+  /// Commit one unit.  Commits never consume a result's buffers, so `r`
+  /// gets them back afterwards: an executor can recycle it (capacity and
+  /// arena warm) for its next compute_into.
   void commit(const WorkItem& item, ComputeResult&& r) {
     CommitEntry e{item, std::move(r)};
     commit_batch(std::span<CommitEntry>(&e, 1));
+    r = std::move(e.result);
   }
 
   /// Batch form of commit(): publish the results as one flat-combining
@@ -894,10 +904,11 @@ class Engine {
   }
 
   /// compute() into a caller-owned result, reusing its buffers: the child
-  /// vector is cleared but keeps its capacity, so an executor that recycles
-  /// ComputeResults across units makes the expansion path allocation-free
-  /// at steady state (the commit side *copies* child positions into the
-  /// cold slab, so the buffer always comes back intact).
+  /// vector is cleared but keeps its capacity, and the serial-ER searcher
+  /// works in the result's record arena, so an executor that recycles
+  /// ComputeResults across units makes every unit kind allocation-free at
+  /// steady state (the commit side *copies* child positions into the cold
+  /// slab, so the buffers always come back intact).
   void compute_into(const WorkItem& item, ComputeResult& out) const {
     compute_into(item, cfg_.shared_table, out);
   }
@@ -919,6 +930,7 @@ class Engine {
     ErSerialSearcher<G> searcher(game_, cfg_.search_depth, cfg_.ordering);
     searcher.with_shared_table(tt);
     searcher.with_ordering_tables(cfg_.order_tables);
+    searcher.with_arena(&out.arena);
     switch (item.kind) {
       case WorkKind::kPromote:
         break;  // nothing heavy
@@ -929,10 +941,10 @@ class Engine {
         break;
       }
       case WorkKind::kSerialEvalFirst: {
-        auto r = searcher.eval_first_from(pos, n.ply, item.window);
+        const auto r = searcher.eval_first_from(pos, n.ply, item.window,
+                                                out.child_positions);
         out.value = r.value;
-        out.is_done = r.done || r.children.empty();
-        out.child_positions = std::move(r.children);
+        out.is_done = r.done || out.child_positions.empty();
         out.stats = r.stats;
         break;
       }
@@ -1009,14 +1021,16 @@ class Engine {
           if constexpr (HashedGame<G>) {
             if (cfg_.order_tables != nullptr) {
               sort_children_ordered(game_, out.child_positions, out.stats,
-                                    *cfg_.order_tables, n.ply + 1,
-                                    order_hint);
+                                    out.arena.ordering, *cfg_.order_tables,
+                                    n.ply + 1, order_hint,
+                                    stable_insertion_sort);
               sorted_with_tables = true;
             }
           }
           if (!sorted_with_tables)
             sort_children_by_static_value(game_, out.child_positions,
-                                          out.stats);
+                                          out.stats, out.arena.ordering,
+                                          stable_insertion_sort);
         }
         break;
       }
@@ -2133,8 +2147,9 @@ class Engine {
       rec->seq_refuting = kNoNode;
     }
     // Re-type in ascending tentative-value order (serial ER's refutation
-    // order after its sort).  Combiner-owned scratch (dispatch never
-    // re-enters itself): no per-dispatch allocation at steady state.
+    // order after its sort; ties keep child-index order).  Combiner-owned
+    // scratch (dispatch never re-enters itself) and an in-place sort: no
+    // per-dispatch allocation at steady state.
     std::vector<std::uint32_t>& undecided = scratch_undecided_;
     undecided.clear();
     const std::uint32_t* kids = rec->child_nodes();
@@ -2145,11 +2160,11 @@ class Engine {
       if (!cn.finished && cn.type == NodeType::kUndecided) undecided.push_back(c);
     }
     if (undecided.empty()) return;
-    std::stable_sort(undecided.begin(), undecided.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                       return static_cast<Value>(nodes_[a].value) <
-                              static_cast<Value>(nodes_[b].value);
-                     });
+    stable_insertion_sort(undecided.begin(), undecided.end(),
+                          [this](std::uint32_t a, std::uint32_t b) {
+                            return static_cast<Value>(nodes_[a].value) <
+                                   static_cast<Value>(nodes_[b].value);
+                          });
     if (!all) {
       // Sequential refutation: take only the most promising candidate.
       Node& cn = nodes_[undecided.front()];

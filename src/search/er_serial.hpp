@@ -37,8 +37,22 @@
 // result is tentative and must not be stored; Refute_rest stores its final
 // value (it completes the node).  This is how parallel ER workers share
 // search knowledge: every serial subtree unit reads and feeds the one table.
+//
+// Storage (DESIGN.md §1): a search keeps its records in one flat arena
+// (ErSerialArena) rather than a tree of per-node child vectors.  A record
+// names its children by an index range into the arena, so the recursion
+// works on indices — the arena may reallocate as it grows — and records of
+// a subtree whose value is final are released from the arena's tail.  The
+// phase-2 sibling sort and the static child sorts are in-place stable
+// insertion sorts: the same permutation std::stable_sort gives, ties
+// included, without its temporary buffer.  An arena reused across searches
+// (one per worker; the parallel engine keeps it in its recycled
+// ComputeResults) makes a warm serial unit allocation-free.  One-shot
+// searches use the searcher's own arena.
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -48,9 +62,39 @@
 #include "search/concurrent_ttable.hpp"
 #include "search/ordering.hpp"
 #include "util/check.hpp"
+#include "util/insertion_sort.hpp"
 #include "util/value.hpp"
 
 namespace ers {
+
+/// One serial-ER search record: Figure 8's `node`, with the child list
+/// cached so eval_first and refute_rest see one consistent, once-generated
+/// ordering.  The children are the `count` records of the same arena
+/// starting at index `first`.
+template <Game G>
+struct ErRecord {
+  explicit ErRecord(typename G::Position position) : pos(std::move(position)) {}
+
+  typename G::Position pos;
+  Value value = -kValueInf;  ///< tentative value, own side's perspective
+  bool done = false;
+  bool expanded = false;
+  std::uint32_t first = 0;  ///< index of the first child record
+  std::uint32_t count = 0;  ///< number of children (0 once known: a leaf)
+};
+
+/// Reusable storage for serial-ER searches: the record arena plus the
+/// expansion and child-sort scratch.  Every buffer keeps its capacity from
+/// one search to the next, so a worker that reuses one arena searches
+/// without touching the heap once the buffers have grown.  Not thread-safe:
+/// one arena per worker (the engine keeps one in each recycled
+/// ComputeResult).
+template <Game G>
+struct ErSerialArena {
+  std::vector<ErRecord<G>> records;
+  std::vector<typename G::Position> children;  ///< expansion scratch
+  OrderingScratch<G> ordering;                 ///< child-sort scratch
+};
 
 template <Game G>
 class ErSerialSearcher {
@@ -58,6 +102,9 @@ class ErSerialSearcher {
   ErSerialSearcher(const G& game, int depth, OrderingPolicy ordering = {})
       : game_(game), depth_(depth), ordering_(ordering) {}
   ErSerialSearcher(const G&&, int, OrderingPolicy = {}) = delete;
+  // arena_ may point at own_arena_: a copy would share the original's.
+  ErSerialSearcher(const ErSerialSearcher&) = delete;
+  ErSerialSearcher& operator=(const ErSerialSearcher&) = delete;
 
   /// Probe/store `table` during the search (shared-memory runtime: one table
   /// serves every worker's serial units).  Ignored unless G is a HashedGame.
@@ -76,6 +123,14 @@ class ErSerialSearcher {
     return *this;
   }
 
+  /// Keep the search's records and scratch in `arena` — a worker's, reused
+  /// unit after unit — instead of the searcher's own, which lives and dies
+  /// with the searcher.  Pass nullptr to go back to the searcher's own.
+  ErSerialSearcher& with_arena(ErSerialArena<G>* arena) noexcept {
+    arena_ = arena != nullptr ? arena : &own_arena_;
+    return *this;
+  }
+
   [[nodiscard]] SearchResult run() { return run_from(game_.root(), 0); }
 
   /// Search the subtree rooted at `pos` (which sits at absolute ply
@@ -84,10 +139,9 @@ class ErSerialSearcher {
   /// what the parallel engine uses below its serial-depth cutover.
   [[nodiscard]] SearchResult run_from(typename G::Position pos, int start_ply,
                                       Window w = full_window()) {
-    stats_ = {};
     best_root_.reset();
     root_ply_ = start_ply;
-    Rec root(std::move(pos));
+    const std::uint32_t root = start_search(std::move(pos));
     const Value v = er(root, w.alpha, w.beta, start_ply);
     return SearchResult{v, stats_};
   }
@@ -103,23 +157,27 @@ class ErSerialSearcher {
   struct PartialResult {
     Value value = 0;
     bool done = false;  ///< cutoff achieved or single child: node resolved
-    std::vector<typename G::Position> children;  ///< generated child order
     SearchStats stats;
   };
 
   /// Figure 8's Eval_first applied at (pos, start_ply): generate (and
   /// order) the children, fully evaluate the first one, and report the
-  /// node's tentative value plus the frozen child order so a later
-  /// refute_rest_from continues consistently.
-  [[nodiscard]] PartialResult eval_first_from(typename G::Position pos,
-                                              int start_ply, Window w) {
-    stats_ = {};
-    Rec root(std::move(pos));
+  /// node's tentative value.  The frozen child order, which a later
+  /// refute_rest_from continues from, is written to `children` (cleared
+  /// first; its capacity is reused, so a recycled buffer does not
+  /// allocate).  It stays empty when the node is a leaf or a table hit
+  /// resolved it.
+  [[nodiscard]] PartialResult eval_first_from(
+      typename G::Position pos, int start_ply, Window w,
+      std::vector<typename G::Position>& children) {
+    const std::uint32_t root = start_search(std::move(pos));
     PartialResult out;
     out.value = eval_first(root, w.alpha, w.beta, start_ply);
-    out.done = root.done;
-    out.children.reserve(root.kids.size());
-    for (Rec& k : root.kids) out.children.push_back(std::move(k.pos));
+    const Record& r = records()[root];
+    out.done = r.done;
+    children.clear();
+    for (std::uint32_t k = r.first; k < r.first + r.count; ++k)
+      children.push_back(records()[k].pos);
     out.stats = stats_;
     return out;
   }
@@ -132,13 +190,15 @@ class ErSerialSearcher {
   [[nodiscard]] SearchResult refute_rest_from(
       typename G::Position pos, int start_ply, Window w, Value tentative,
       std::span<const typename G::Position> children) {
-    stats_ = {};
     ERS_CHECK(!children.empty());
-    Rec root(std::move(pos));
-    root.expanded = true;
-    root.kids.reserve(children.size());
-    for (const auto& c : children) root.kids.emplace_back(c);
-    root.value = tentative;
+    const std::uint32_t root = start_search(std::move(pos));
+    auto& recs = records();
+    for (const auto& c : children) recs.emplace_back(c);
+    Record& r = recs[root];
+    r.expanded = true;
+    r.first = root + 1;
+    r.count = static_cast<std::uint32_t>(children.size());
+    r.value = tentative;
     const Value v = refute_rest(root, w.alpha, w.beta, start_ply);
     return SearchResult{v, stats_};
   }
@@ -147,39 +207,50 @@ class ErSerialSearcher {
   /// done) Refute_rest — the r-node path of Figure 8's main loop.
   [[nodiscard]] SearchResult refute_from(typename G::Position pos,
                                          int start_ply, Window w) {
-    stats_ = {};
-    Rec root(std::move(pos));
+    const std::uint32_t root = start_search(std::move(pos));
     Value v = eval_first(root, w.alpha, w.beta, start_ply);
-    if (!root.done) v = refute_rest(root, w.alpha, w.beta, start_ply);
+    if (!records()[root].done) v = refute_rest(root, w.alpha, w.beta, start_ply);
     return SearchResult{v, stats_};
   }
 
  private:
-  /// Per-node search record: Figure 8's `node` with the child list cached so
-  /// eval_first and refute_rest see one consistent, once-generated ordering.
-  struct Rec {
-    explicit Rec(typename G::Position position) : pos(std::move(position)) {}
+  using Record = ErRecord<G>;
 
-    typename G::Position pos;
-    Value value = -kValueInf;  ///< tentative value, own side's perspective
-    bool done = false;
-    bool expanded = false;
-    std::vector<Rec> kids;
-  };
+  [[nodiscard]] std::vector<Record>& records() noexcept {
+    return arena_->records;
+  }
 
-  /// Generate (once) and possibly statically order the children of `r`.
-  /// Returns true if `r` is a leaf at this ply.
-  bool expand(Rec& r, int ply, bool is_e_node) {
-    if (r.expanded) return r.kids.empty();
-    r.expanded = true;
-    // Reused scratch: every element is moved out into r.kids below before
-    // expand can be re-entered (the recursion happens after this returns),
-    // so one buffer per thread suffices and steady-state expansion does not
-    // touch the heap.
-    static thread_local std::vector<typename G::Position> kids;
+  /// Start a search: fresh counters, an empty arena holding only the root
+  /// record.  Returns the root's index.
+  std::uint32_t start_search(typename G::Position pos) {
+    stats_ = {};
+    records().clear();
+    records().emplace_back(std::move(pos));
+    return 0;
+  }
+
+  /// Drop every record from index `mark` on.  Called when the subtree that
+  /// appended them has its final value (Eval_first's ER of the first
+  /// child, each child Refute_rest finishes): no caller reads a finished
+  /// subtree's records again, so the arena stays as small as the search's
+  /// frontier instead of growing with the tree.
+  void release(std::size_t mark) {
+    auto& recs = records();
+    recs.erase(recs.begin() + static_cast<std::ptrdiff_t>(mark), recs.end());
+  }
+
+  /// Generate (once) and possibly statically order the children of record
+  /// `r`, appending them to the arena.  Returns true if `r` is a leaf at
+  /// this ply.  Appending may reallocate the arena: callers re-index
+  /// records after it rather than hold references across it.
+  bool expand(std::uint32_t r, int ply, bool is_e_node) {
+    auto& recs = records();
+    if (recs[r].expanded) return recs[r].count == 0;
+    recs[r].expanded = true;
+    auto& kids = arena_->children;
     kids.clear();
     kids.reserve(branching_hint_of(game_));
-    if (ply < depth_) game_.generate_children(r.pos, kids);
+    if (ply < depth_) game_.generate_children(recs[r].pos, kids);
     if (kids.empty()) {
       ++stats_.leaves_evaluated;
       return true;
@@ -193,14 +264,17 @@ class ErSerialSearcher {
           // any stored entry carries it, regardless of depth coverage.
           std::uint16_t hint = 0;
           TtHit h;
-          if (tt_ != nullptr && tt_->probe(r.pos.tt_key(), h))
+          if (tt_ != nullptr && tt_->probe(recs[r].pos.tt_key(), h))
             hint = h.move_hint;
-          sort_children_ordered(game_, kids, stats_, *tables_, ply + 1, hint);
+          sort_children_ordered(game_, kids, stats_, arena_->ordering,
+                                *tables_, ply + 1, hint,
+                                stable_insertion_sort);
           sorted_with_tables = true;
         }
       }
       if (!sorted_with_tables)
-        sort_children_by_static_value(game_, kids, stats_);
+        sort_children_by_static_value(game_, kids, stats_, arena_->ordering,
+                                      stable_insertion_sort);
     }
     // Warm the table lines of the whole sibling set now: by the time
     // er/eval_first descends into each child and probes it, its slot is in
@@ -210,8 +284,10 @@ class ErSerialSearcher {
       if (tt_ != nullptr)
         for (const auto& k : kids) tt_->prefetch(k.tt_key());
     }
-    r.kids.reserve(kids.size());
-    for (auto& k : kids) r.kids.emplace_back(std::move(k));
+    const auto first = static_cast<std::uint32_t>(recs.size());
+    for (auto& k : kids) recs.emplace_back(std::move(k));
+    recs[r].first = first;
+    recs[r].count = static_cast<std::uint32_t>(kids.size());
     return false;
   }
 
@@ -219,7 +295,7 @@ class ErSerialSearcher {
 
   /// Probe the shared table for `p`; true only when the entry validates and
   /// covers the remaining depth.
-  bool tt_probe(const Rec& p, int remaining, TtHit& out) {
+  bool tt_probe(const Record& p, int remaining, TtHit& out) {
     if constexpr (HashedGame<G>) {
       if (tt_ == nullptr) return false;
       const std::uint64_t key = p.pos.tt_key();
@@ -237,8 +313,8 @@ class ErSerialSearcher {
   /// window it was searched with; `best_key` is the key of the child that
   /// produced the value (0 = none), stored as the entry's move hint except
   /// on fail-lows, where no single move is responsible.
-  void tt_store(const Rec& p, Value v, int remaining, Value alpha, Value beta,
-                std::uint64_t best_key = 0) {
+  void tt_store(const Record& p, Value v, int remaining, Value alpha,
+                Value beta, std::uint64_t best_key = 0) {
     if constexpr (HashedGame<G>) {
       if (tt_ == nullptr) return;
       const std::uint16_t hint =
@@ -252,7 +328,7 @@ class ErSerialSearcher {
   /// Credit the child that refuted its parent (a beta cutoff) to the shared
   /// ordering tables: a killer slot at the child's ply and history credit
   /// scaled by the parent's remaining depth.
-  void note_cutoff(const Rec& child, int child_ply, int remaining) {
+  void note_cutoff(const Record& child, int child_ply, int remaining) {
     if constexpr (HashedGame<G>) {
       if (tables_ == nullptr) return;
       const std::uint64_t key = child.pos.tt_key();
@@ -265,12 +341,12 @@ class ErSerialSearcher {
     }
   }
 
-  /// Figure 8, function ER — a *full* fail-hard evaluation of p within
-  /// (alpha, beta) — wrapped with shared-table probe and store.
-  Value er(Rec& p, Value alpha, Value beta, int ply) {
+  /// Figure 8, function ER — a *full* fail-hard evaluation of record p
+  /// within (alpha, beta) — wrapped with shared-table probe and store.
+  Value er(std::uint32_t p, Value alpha, Value beta, int ply) {
     const int remaining = depth_ - ply;
     TtHit h;
-    if (tt_probe(p, remaining, h)) {
+    if (tt_probe(records()[p], remaining, h)) {
       switch (h.bound) {
         case BoundKind::kExact:
           return h.value;
@@ -285,17 +361,18 @@ class ErSerialSearcher {
       }
     }
     if (expand(p, ply, /*is_e_node=*/true)) {
-      const Value v = game_.evaluate(p.pos);
-      tt_store(p, v, remaining, -kValueInf, kValueInf);  // terminal: exact
+      const Record& r = records()[p];
+      const Value v = game_.evaluate(r.pos);
+      tt_store(r, v, remaining, -kValueInf, kValueInf);  // terminal: exact
       return v;
     }
     const Value v = er_children(p, alpha, beta, ply);
-    tt_store(p, v, remaining, alpha, beta, best_child_key_);
+    tt_store(records()[p], v, remaining, alpha, beta, best_child_key_);
     return v;
   }
 
-  /// The child's position key, 0 for non-hashed games.
-  [[nodiscard]] static std::uint64_t key_of(const Rec& r) noexcept {
+  /// The record's position key, 0 for non-hashed games.
+  [[nodiscard]] static std::uint64_t key_of(const Record& r) noexcept {
     if constexpr (HashedGame<G>)
       return r.pos.tt_key();
     else
@@ -305,44 +382,54 @@ class ErSerialSearcher {
   /// ER's two phases over an expanded interior node.  Sets best_child_key_
   /// (read by the caller immediately on return — recursion below reuses it)
   /// to the child that produced the final value, for the TT move hint.
-  Value er_children(Rec& p, Value alpha, Value beta, int ply) {
+  Value er_children(std::uint32_t p, Value alpha, Value beta, int ply) {
+    auto& recs = records();
+    const std::uint32_t first = recs[p].first;
+    const std::uint32_t last = first + recs[p].count;
     std::uint64_t best_key = 0;
-    p.value = alpha;
+    Value value = alpha;
     // Phase 1: evaluate every child's first child (the elder grandchildren).
-    for (Rec& c : p.kids) {
-      const Value t = negate(eval_first(c, negate(beta), negate(p.value), ply + 1));
-      if (c.done) {
-        if (t > p.value) {
-          p.value = t;
-          best_key = key_of(c);
-          if (ply == root_ply_) best_root_ = c.pos;
+    for (std::uint32_t c = first; c < last; ++c) {
+      const Value t = negate(eval_first(c, negate(beta), negate(value), ply + 1));
+      const Record& cr = recs[c];
+      if (cr.done) {
+        if (t > value) {
+          value = t;
+          best_key = key_of(cr);
+          if (ply == root_ply_) best_root_ = cr.pos;
         }
-        if (p.value >= beta) {
-          note_cutoff(c, ply + 1, depth_ - ply);
+        if (value >= beta) {
+          note_cutoff(cr, ply + 1, depth_ - ply);
+          recs[p].value = value;
           best_child_key_ = best_key;
-          return p.value;
+          return value;
         }
       }
     }
     // Phase 2: sort by tentative value (ascending: lowest child value is the
     // most promising e-child) and finish the unfinished children in order.
-    std::stable_sort(p.kids.begin(), p.kids.end(),
-                     [](const Rec& a, const Rec& b) { return a.value < b.value; });
-    for (Rec& c : p.kids) {
-      if (c.done) continue;
-      const Value t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
-      if (t > p.value) {
-        p.value = t;
-        best_key = key_of(c);
-        if (ply == root_ply_) best_root_ = c.pos;
+    // Moving a record leaves its children where they are: `first` indexes
+    // them absolutely.
+    stable_insertion_sort(
+        recs.begin() + first, recs.begin() + last,
+        [](const Record& a, const Record& b) { return a.value < b.value; });
+    for (std::uint32_t c = first; c < last; ++c) {
+      if (recs[c].done) continue;
+      const Value t = negate(refute_rest(c, negate(beta), negate(value), ply + 1));
+      const Record& cr = recs[c];
+      if (t > value) {
+        value = t;
+        best_key = key_of(cr);
+        if (ply == root_ply_) best_root_ = cr.pos;
       }
-      if (p.value >= beta) {
-        note_cutoff(c, ply + 1, depth_ - ply);
+      if (value >= beta) {
+        note_cutoff(cr, ply + 1, depth_ - ply);
         break;
       }
     }
+    recs[p].value = value;
     best_child_key_ = best_key;
-    return p.value;
+    return value;
   }
 
   /// Figure 8, function Eval_first: give `p` a tentative value by fully
@@ -350,31 +437,38 @@ class ErSerialSearcher {
   /// only when *conclusive* — exact, or a bound that already decides the
   /// window — because Eval_first's normal product is a tentative value and
   /// an inconclusive bound cannot substitute for one.
-  Value eval_first(Rec& p, Value alpha, Value beta, int ply) {
+  Value eval_first(std::uint32_t p, Value alpha, Value beta, int ply) {
+    auto& recs = records();
     TtHit h;
-    if (tt_probe(p, depth_ - ply, h)) {
+    if (tt_probe(recs[p], depth_ - ply, h)) {
       const bool conclusive =
           h.bound == BoundKind::kExact ||
           (h.bound == BoundKind::kLower && h.value >= beta) ||
           (h.bound == BoundKind::kUpper && h.value <= alpha);
       if (conclusive) {
-        p.value = h.value;
-        p.done = true;
-        return p.value;
+        recs[p].value = h.value;
+        recs[p].done = true;
+        return h.value;
       }
     }
     if (expand(p, ply, /*is_e_node=*/false)) {
-      p.done = true;
-      p.value = game_.evaluate(p.pos);
-      tt_store(p, p.value, depth_ - ply, -kValueInf, kValueInf);
-      return p.value;
+      Record& r = recs[p];
+      r.done = true;
+      r.value = game_.evaluate(r.pos);
+      tt_store(r, r.value, depth_ - ply, -kValueInf, kValueInf);
+      return r.value;
     }
-    p.value = alpha;
-    const Value t = negate(er(p.kids.front(), negate(beta), negate(p.value), ply + 1));
-    if (t > p.value) p.value = t;
-    p.done = p.value >= beta || p.kids.size() == 1;
-    if (p.value >= beta) note_cutoff(p.kids.front(), ply + 1, depth_ - ply);
-    return p.value;
+    const std::uint32_t front = recs[p].first;
+    const std::size_t mark = recs.size();
+    Value value = alpha;
+    const Value t = negate(er(front, negate(beta), negate(value), ply + 1));
+    release(mark);  // the first child's value is final
+    if (t > value) value = t;
+    Record& r = recs[p];
+    r.value = value;
+    r.done = value >= beta || r.count == 1;
+    if (value >= beta) note_cutoff(recs[front], ply + 1, depth_ - ply);
+    return value;
   }
 
   /// Figure 8, function Refute_rest, wrapped with a shared-table store:
@@ -382,52 +476,60 @@ class ErSerialSearcher {
   /// bound against the window it finished under.  (No probe here beyond the
   /// conclusive check: the node was already probed by er/eval_first, but a
   /// concurrent worker may have finished it in the meantime.)
-  Value refute_rest(Rec& p, Value alpha, Value beta, int ply) {
+  Value refute_rest(std::uint32_t p, Value alpha, Value beta, int ply) {
     const int remaining = depth_ - ply;
     TtHit h;
-    if (tt_probe(p, remaining, h)) {
+    if (tt_probe(records()[p], remaining, h)) {
       if (h.bound == BoundKind::kExact ||
           (h.bound == BoundKind::kLower && h.value >= beta) ||
           (h.bound == BoundKind::kUpper && h.value <= alpha))
         return h.value;
     }
     const Value v = refute_rest_children(p, alpha, beta, ply);
-    tt_store(p, v, remaining, alpha, beta, best_child_key_);
+    tt_store(records()[p], v, remaining, alpha, beta, best_child_key_);
     return v;
   }
 
   /// Figure 8, function Refute_rest: examine p's remaining children until p
-  /// is refuted (value >= beta) or exhausted.
-  Value refute_rest_children(Rec& p, Value alpha, Value beta, int ply) {
-    ERS_DCHECK(p.expanded && !p.kids.empty());
+  /// is refuted (value >= beta) or exhausted.  Each finished child releases
+  /// the records its search appended.
+  Value refute_rest_children(std::uint32_t p, Value alpha, Value beta,
+                             int ply) {
+    auto& recs = records();
+    ERS_DCHECK(recs[p].expanded && recs[p].count > 0);
+    const std::uint32_t first = recs[p].first;
+    const std::uint32_t last = first + recs[p].count;
     // The tentative value (if it survives max against alpha) came from the
     // first child, making it the hint candidate until a later child raises.
-    std::uint64_t best_key = p.value > alpha ? key_of(p.kids.front()) : 0;
+    std::uint64_t best_key = recs[p].value > alpha ? key_of(recs[first]) : 0;
     // Keep the tentative value from Eval_first (see header comment).
-    p.value = std::max(p.value, alpha);
+    Value value = std::max(recs[p].value, alpha);
     // The parent's bound may have tightened since Eval_first ran; the
     // tentative value alone can already refute p.
-    if (p.value >= beta) {
-      note_cutoff(p.kids.front(), ply + 1, depth_ - ply);
+    if (value >= beta) {
+      note_cutoff(recs[first], ply + 1, depth_ - ply);
+      recs[p].value = value;
       best_child_key_ = best_key;
-      return p.value;
+      return value;
     }
-    for (std::size_t i = 1; i < p.kids.size(); ++i) {
-      Rec& c = p.kids[i];
-      Value t = negate(eval_first(c, negate(beta), negate(p.value), ply + 1));
-      if (!c.done)
-        t = negate(refute_rest(c, negate(beta), negate(p.value), ply + 1));
-      if (t > p.value) {
-        p.value = t;
-        best_key = key_of(c);
+    for (std::uint32_t c = first + 1; c < last; ++c) {
+      const std::size_t mark = recs.size();
+      Value t = negate(eval_first(c, negate(beta), negate(value), ply + 1));
+      if (!recs[c].done)
+        t = negate(refute_rest(c, negate(beta), negate(value), ply + 1));
+      release(mark);
+      if (t > value) {
+        value = t;
+        best_key = key_of(recs[c]);
       }
-      if (p.value >= beta) {
-        note_cutoff(c, ply + 1, depth_ - ply);
+      if (value >= beta) {
+        note_cutoff(recs[c], ply + 1, depth_ - ply);
         break;
       }
     }
+    recs[p].value = value;
     best_child_key_ = best_key;
-    return p.value;
+    return value;
   }
 
   const G& game_;
@@ -435,6 +537,8 @@ class ErSerialSearcher {
   OrderingPolicy ordering_;
   ConcurrentTranspositionTable* tt_ = nullptr;
   OrderingTables* tables_ = nullptr;
+  ErSerialArena<G> own_arena_;  ///< one-shot searches: lives with the searcher
+  ErSerialArena<G>* arena_ = &own_arena_;
   SearchStats stats_;
   std::optional<typename G::Position> best_root_;
   int root_ply_ = 0;

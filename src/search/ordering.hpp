@@ -21,6 +21,7 @@
 
 #include "gametree/game.hpp"
 #include "util/check.hpp"
+#include "util/insertion_sort.hpp"
 #include "util/value.hpp"
 
 namespace ers {
@@ -166,26 +167,41 @@ struct OrderingPolicy {
   }
 };
 
-/// Reusable buffers for the child sorts, so steady-state sorting performs
-/// no heap allocations: both vectors keep their capacity across calls.
-/// One instance per worker (or thread_local).  Keys are int64 so the
-/// table-aware sort can compose (tier, static value, history) into one
-/// comparison word; the pure static sort uses the same buffer with plain
-/// Value keys.
+/// Reusable buffers for the child sorts: both vectors keep their capacity
+/// across calls.  One instance per worker (or thread_local).  Keys are
+/// int64 so the table-aware sort can compose (tier, static value, history)
+/// into one comparison word; the pure static sort uses the same buffer with
+/// plain Value keys.
 template <Game G>
 struct OrderingScratch {
   std::vector<std::pair<std::int64_t, std::size_t>> keyed;
   std::vector<typename G::Position> sorted;
 };
 
+/// The stable sort the child sorts use by default.  std::stable_sort asks
+/// the allocator for a temporary buffer on every call, so with it a child
+/// sort is *not* allocation-free even once the scratch buffers have grown.
+/// Callers that must not allocate pass stable_insertion_sort instead;
+/// every stable sort yields the same permutation, so the choice never
+/// changes the order.
+struct StdStableSort {
+  template <typename It, typename Less>
+  void operator()(It first, It last, Less less) const {
+    std::stable_sort(first, last, less);
+  }
+};
+
 /// Sort `children` ascending by static value; charges one sort and one
-/// static evaluation per child to `stats`.  Allocation-free once the
-/// scratch buffers have grown to the branching factor.
-template <Game G>
+/// static evaluation per child to `stats`.  The scratch buffers stop
+/// allocating once grown to the branching factor; the sort itself
+/// allocates unless `stable_sort` is stable_insertion_sort (see
+/// StdStableSort).
+template <Game G, typename StableSort = StdStableSort>
 void sort_children_by_static_value(const G& game,
                                    std::vector<typename G::Position>& children,
                                    SearchStats& stats,
-                                   OrderingScratch<G>& scratch) {
+                                   OrderingScratch<G>& scratch,
+                                   StableSort stable_sort = {}) {
   if (children.size() < 2) return;
   stats.child_sorts += 1;
   stats.sort_evals += children.size();
@@ -194,8 +210,8 @@ void sort_children_by_static_value(const G& game,
   keyed.reserve(children.size());
   for (std::size_t i = 0; i < children.size(); ++i)
     keyed.emplace_back(game.evaluate(children[i]), i);
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  stable_sort(keyed.begin(), keyed.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
   auto& sorted = scratch.sorted;
   sorted.clear();
   sorted.reserve(children.size());
@@ -223,20 +239,22 @@ void sort_children_by_static_value(const G& game,
 ///
 ///     tier * 2^53  +  static_value * 2^20  -  min(history, 2^20 - 1)
 ///
-/// so one stable_sort preserves the static order exactly where the tables
+/// so one stable sort preserves the static order exactly where the tables
 /// are silent: with empty tables and no hint every key is
 /// `2*2^53 + value*2^20`, a strictly monotone transform of the static
 /// key, and the sort (both stable) permutes identically.  Degrades to the
-/// plain static sort for non-hashed games.
-template <Game G>
+/// plain static sort for non-hashed games.  `stable_sort` as for
+/// sort_children_by_static_value.
+template <Game G, typename StableSort = StdStableSort>
 void sort_children_ordered(const G& game,
                            std::vector<typename G::Position>& children,
                            SearchStats& stats, OrderingScratch<G>& scratch,
                            const OrderingTables& tables, int ply,
-                           std::uint16_t tt_hint = 0) {
+                           std::uint16_t tt_hint = 0,
+                           StableSort stable_sort = {}) {
   if constexpr (!HashedGame<G>) {
     (void)tables; (void)ply; (void)tt_hint;
-    sort_children_by_static_value(game, children, stats, scratch);
+    sort_children_by_static_value(game, children, stats, scratch, stable_sort);
   } else {
     if (children.size() < 2) return;
     stats.child_sorts += 1;
@@ -266,9 +284,8 @@ void sort_children_ordered(const G& game,
           i);
     }
     if (fronted) stats.order_tt_first += 1;
-    std::stable_sort(
-        keyed.begin(), keyed.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
+    stable_sort(keyed.begin(), keyed.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
     auto& sorted = scratch.sorted;
     sorted.clear();
     sorted.reserve(children.size());

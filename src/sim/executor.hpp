@@ -168,6 +168,12 @@ class SimExecutor {
     std::uint64_t now = 0;
     std::vector<std::uint64_t> lock_free(static_cast<std::size_t>(shards_), 0);
     std::vector<std::size_t> touch_set;  // commit touch-set scratch
+    std::vector<ItemT> items;            // acquire scratch
+    // Committed batches hand their vectors and results back here, so the
+    // next dispatch computes into warm buffers (child vectors, the engine's
+    // serial-ER arenas) instead of allocating fresh ones per unit.
+    std::vector<std::vector<Entry>> spare_batches;
+    std::vector<ComputeT> spare_results;
     // A heap access occupies one shard for `op_cost` serialized time units.
     // `shard` == kUnrouted (engines without a sharded heap) falls back to
     // the earliest-available shard — the idealized balanced distribution.
@@ -197,7 +203,7 @@ class SimExecutor {
           trace_->set_current_worker(w.id);
           trace_->set_virtual_now(now);
         }
-        std::vector<ItemT> items;
+        items.clear();
         acquire_into(engine, static_cast<std::size_t>(batch_), items);
         if (items.empty()) break;
         idle.pop();
@@ -224,12 +230,20 @@ class SimExecutor {
                       static_cast<std::uint16_t>(used_shard));
         }
         std::vector<Entry> batch;
-        batch.reserve(items.size());
+        if (!spare_batches.empty()) {
+          batch = std::move(spare_batches.back());
+          spare_batches.pop_back();
+        }
         std::uint64_t compute_cost = 0;
         std::uint64_t t = start + cost_.per_heap_acquire;
         m.batch_hist.record(items.size());
         for (ItemT& item : items) {
-          auto result = engine.compute(item);
+          ComputeT result{};
+          if (!spare_results.empty()) {
+            result = std::move(spare_results.back());
+            spare_results.pop_back();
+          }
+          compute_into(engine, item, result);
           const std::uint64_t c = cost_.of(result.stats);
           compute_cost += c;
           m.compute_hist.record(c);
@@ -315,6 +329,9 @@ class SimExecutor {
       m.busy_time += (ev.t - ev.started) + commit_cost + pub_cost;
       commit_all(engine, ev.batch);
       m.units += ev.batch.size();
+      for (Entry& e : ev.batch) spare_results.push_back(std::move(e.result));
+      ev.batch.clear();
+      spare_batches.push_back(std::move(ev.batch));
       m.commit_hist.record(freed_at - ev.t);
       m.makespan = std::max(m.makespan, freed_at);
       idle.push(IdleWorker{freed_at, ev.worker});
@@ -406,6 +423,16 @@ class SimExecutor {
         out.push_back(std::move(*item));
       }
     }
+  }
+
+  /// Compute `item` into `out`, reusing its buffers where the engine
+  /// supports it (core::Engine::compute_into).
+  template <typename E, typename ItemT, typename Result>
+  static void compute_into(E& engine, const ItemT& item, Result& out) {
+    if constexpr (requires { engine.compute_into(item, out); })
+      engine.compute_into(item, out);
+    else
+      out = engine.compute(item);
   }
 
   template <typename E, typename EntryT>

@@ -77,12 +77,12 @@ TEST(WindowProperty, ErPartialUnitsRespectWindows) {
     const Window w{a, b};
 
     ErSerialSearcher<UniformRandomTree> s(g, 4);
-    auto part = s.eval_first_from(g.root(), 0, w);
+    std::vector<UniformRandomTree::Position> children;
+    const auto part = s.eval_first_from(g.root(), 0, w, children);
     Value result = part.value;
     if (!part.done) {
       ErSerialSearcher<UniformRandomTree> s2(g, 4);
-      result = s2.refute_rest_from(g.root(), 0, w, part.value, part.children)
-                   .value;
+      result = s2.refute_rest_from(g.root(), 0, w, part.value, children).value;
     }
     check_fail_hard(result, truth, w, "eval_first+refute_rest", seed);
 
