@@ -63,8 +63,7 @@ void finish_means(AlgoRun& sum, int reps) {
   sum.thread_nodes_max /= n;
 }
 
-/// The incumbent: the paper's ER engine on the work-stealing thread
-/// scheduler, exactly as bench_shards runs it.
+/// The incumbent: the paper's ER engine on the thread runtime.
 template <typename G>
 AlgoRun run_er(const G& game, const ers::core::EngineConfig& cfg, int threads,
                int reps, ers::Value oracle) {
@@ -157,9 +156,7 @@ int main(int argc, char** argv) {
                    "thr nodes min/max", "value"});
   std::vector<std::string> json;
   for (const auto& name : opt.tree_names) {
-    auto base = harness::tree_by_name(name, opt.scale);
-    if (opt.shards != 1) base.engine.heap_shards = opt.shards;
-    if (opt.frontier >= 0) base.engine.publish_frontier = opt.frontier;
+    const auto base = harness::tree_by_name(name, opt.scale);
     const Value oracle = std::visit(
         [&](const auto& game) {
           return alpha_beta_search(game, base.engine.search_depth,

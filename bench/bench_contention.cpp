@@ -1,8 +1,8 @@
-// Distributed problem heap (paper §8, future work): "We expect that this
-// efficiency loss can be reduced by distributing work in a manner that
-// reduces processor interaction."  The simulator's sharded heap locks model
-// exactly that: S independently-serialized queue shards instead of one.
-// The contention-bound regime is a deep serial cutover (many small units).
+// Problem-heap contention (paper §6): "as more processors are added, the
+// problem heap becomes a bottleneck".  The simulator serializes every heap
+// access on the one heap lock, so its lock-wait share is the interference
+// loss; the sweep runs the paper's serial depth and a contention-bound
+// regime two plies deeper (many small units) at 4, 8 and 16 processors.
 //
 // Second section (shared search knowledge, also beyond the paper): the
 // lock-free transposition table compared across three modes on the Othello
@@ -17,6 +17,7 @@
 // Emits BENCH_ttable.json.
 
 #include <memory>
+#include <thread>
 #include <variant>
 
 #include "common.hpp"
@@ -68,15 +69,15 @@ TtRun run_tt_mode(const G& game, ers::core::EngineConfig cfg, int threads,
 int main(int argc, char** argv) {
   using namespace ers;
   const auto opt = bench::parse_options(argc, argv, {"R3"});
-  bench::print_header("Distributed problem heap ( 8 future work)");
+  bench::print_header("Problem-heap contention (paper section 6)");
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
   obs::MetricsRegistry reg;
   reg.set("bench", "contention");
-  TextTable table({"tree", "serial depth", "procs", "shards", "speedup",
-                   "efficiency", "lock share", "idle share"});
-  std::vector<std::string> shard_json;
+  TextTable table({"tree", "serial depth", "procs", "speedup", "efficiency",
+                   "lock share", "idle share"});
+  std::vector<std::string> contention_json;
   for (const auto& name : opt.tree_names) {
     const auto base = harness::tree_by_name(name, opt.scale);
     const auto serial = harness::run_serial_baselines(base);
@@ -87,42 +88,41 @@ int main(int argc, char** argv) {
           std::min(base.engine.search_depth, base.engine.serial_depth + 2)}) {
       auto cfg = base.engine;
       cfg.serial_depth = sd;
-      for (const int shards : {1, 2, 4, 16}) {
-        const int p = 16;
+      for (const int p : {4, 8, 16}) {
         if (trace != nullptr) trace->clear();  // keep the last point only
         const auto metrics = std::visit(
             [&](const auto& game) {
-              return parallel_er_sim(game, cfg, p, {}, shards, 1, trace)
-                  .metrics;
+              return parallel_er_sim(game, cfg, p, {}, 1, trace).metrics;
             },
             base.game);
         reg.set("tree", base.name);
         reg.set("serial_depth", sd);
-        reg.set("shards", shards);
         obs::register_sim_metrics(reg, metrics);
         const double speedup = static_cast<double>(serial.best_cost()) /
                                static_cast<double>(metrics.makespan);
         const double total = static_cast<double>(metrics.makespan) * p;
         table.add_row({base.name, std::to_string(sd), std::to_string(p),
-                       std::to_string(shards), TextTable::num(speedup, 2),
+                       TextTable::num(speedup, 2),
                        TextTable::num(speedup / p, 3),
                        TextTable::num(metrics.lock_wait_time / total, 3),
                        TextTable::num(metrics.idle_time / total, 3)});
-        shard_json.push_back(bench::JsonObject()
-                                 .field("tree", base.name)
-                                 .field("serial_depth", sd)
-                                 .field("procs", p)
-                                 .field("shards", shards)
-                                 .field("speedup", speedup)
-                                 .field("lock_share", metrics.lock_wait_time / total)
-                                 .field("idle_share", metrics.idle_time / total)
-                                 .str());
+        contention_json.push_back(
+            bench::JsonObject()
+                .field("tree", base.name)
+                .field("serial_depth", sd)
+                .field("procs", p)
+                .field("nproc",
+                       static_cast<int>(std::thread::hardware_concurrency()))
+                .field("speedup", speedup)
+                .field("lock_share", metrics.lock_wait_time / total)
+                .field("idle_share", metrics.idle_time / total)
+                .str());
       }
     }
   }
   table.print();
   // Deterministic simulated sweep: one rep is exact.
-  bench::write_bench_json("contention", 1, shard_json);
+  bench::write_bench_json("contention", 1, contention_json);
 
   // --- shared transposition table on the Othello midgame suite ------------
   bench::print_header("Shared transposition table (thread runtime, O1-O3)");

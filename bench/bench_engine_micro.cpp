@@ -90,19 +90,15 @@ BENCHMARK(BM_ParallelErSim)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_EngineCommitContention(benchmark::State& state) {
   // Commit-under-contention: T raw protocol drivers hammer the engine with
-  // batch-1 acquire/compute/commit loops — no executor batching, parking
-  // or stealing to smooth the interleavings — so elapsed time is dominated
-  // by shard-lock sections and flat-combining drain rounds.  Sweeping
-  // shards 1 vs 8 at fixed threads isolates what per-shard locking buys on
-  // the pure synchronization path.
+  // batch-1 acquire/compute/commit loops — no executor batching or parking
+  // to smooth the interleavings — so elapsed time is dominated by the
+  // engine lock's critical sections: the pure synchronization path.
   const UniformRandomTree g(4, 6, 17, -1000, 1000);
   core::EngineConfig cfg;
   cfg.search_depth = 6;
   cfg.serial_depth = 4;
-  cfg.heap_shards = static_cast<int>(state.range(1));
   const int threads = static_cast<int>(state.range(0));
   std::uint64_t units = 0;
-  std::uint64_t peer_applied = 0;
   for (auto _ : state) {
     core::Engine<UniformRandomTree> engine(g, cfg);
     std::vector<std::thread> drivers;
@@ -115,6 +111,7 @@ void BM_EngineCommitContention(benchmark::State& state) {
           items.clear();
           batch.clear();
           if (engine.acquire_batch(1, items) == 0) {
+            ERS_CHECK(!engine.stalled());
             std::this_thread::yield();
             continue;
           }
@@ -126,80 +123,15 @@ void BM_EngineCommitContention(benchmark::State& state) {
     }
     for (std::thread& t : drivers) t.join();
     units += engine.stats().units_processed;
-    peer_applied += engine.lock_stats().combine_peer_applied;
   }
   state.counters["units/s"] = benchmark::Counter(
       static_cast<double>(units), benchmark::Counter::kIsRate);
-  state.counters["peer_applied"] = benchmark::Counter(
-      static_cast<double>(peer_applied), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_EngineCommitContention)
-    ->ArgsProduct({{1, 2, 4, 8}, {1, 8}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineCommitDisjoint(benchmark::State& state) {
-  // Disjoint-subtree commits: the root-shard serialization probe
-  // (DESIGN.md §13).  Under kSubtreeAffinity placement root child i and its
-  // whole subtree home on shard i % S, so with threads == shards and each
-  // driver draining only its own shard (acquire_batch_shard), every
-  // concurrent commit pair is on *provably disjoint* subtrees.  With the
-  // publish frontier off (arg1 = 0) those commits still meet at shard 0,
-  // because every touch set walks the ancestor chain to the root; with it
-  // on (arg1 = 4) the touch sets truncate at the frontier and disjoint
-  // commits lock disjoint shard sets — throughput should scale with the
-  // shard count instead of flat-lining on the root's lock.  Drivers fall
-  // back to a global pop when their own shard runs dry so no subtree
-  // orphans work near the end.
-  const UniformRandomTree g(4, 6, 17, -1000, 1000);
-  core::EngineConfig cfg;
-  cfg.search_depth = 6;
-  cfg.serial_depth = 4;
-  cfg.heap_shards = static_cast<int>(state.range(0));
-  cfg.placement = core::PlacementMode::kSubtreeAffinity;
-  cfg.publish_frontier = static_cast<int>(state.range(1));
-  const int threads = cfg.heap_shards;
-  std::uint64_t units = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t publishes = 0;
-  for (auto _ : state) {
-    core::Engine<UniformRandomTree> engine(g, cfg);
-    std::vector<std::thread> drivers;
-    drivers.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      drivers.emplace_back([&engine, t] {
-        const auto home = static_cast<std::size_t>(t);
-        std::vector<core::WorkItem> items;
-        std::vector<core::Engine<UniformRandomTree>::CommitEntry> batch;
-        while (!engine.done()) {
-          items.clear();
-          batch.clear();
-          if (engine.acquire_batch_shard(home, 1, items) == 0 &&
-              engine.acquire_batch(1, items) == 0) {
-            std::this_thread::yield();
-            continue;
-          }
-          for (const core::WorkItem& item : items)
-            batch.push_back({item, engine.compute(item)});
-          engine.commit_batch(batch);
-        }
-      });
-    }
-    for (std::thread& t : drivers) t.join();
-    units += engine.stats().units_processed;
-    const auto ls = engine.lock_stats();
-    truncated += ls.truncated_records;
-    publishes += ls.root_publishes;
-  }
-  state.counters["units/s"] = benchmark::Counter(
-      static_cast<double>(units), benchmark::Counter::kIsRate);
-  state.counters["truncated"] = benchmark::Counter(
-      static_cast<double>(truncated), benchmark::Counter::kAvgIterations);
-  state.counters["publishes"] = benchmark::Counter(
-      static_cast<double>(publishes), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_EngineCommitDisjoint)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 4}})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -210,13 +142,11 @@ void BM_NodeChurn(benchmark::State& state) {
   // two-tier node storage — slab allocation at commit_expand, dead-drop and
   // finish-time reclamation, freelist recycling (DESIGN.md §15).  The
   // single protocol driver keeps the measurement on the storage path, not
-  // on scheduler interleaving; the shard sweep varies how many slabs and
-  // freelists the same churn is spread across.
+  // on scheduler interleaving.
   const UniformRandomTree g(5, 7, 29, -1000, 1000);
   core::EngineConfig cfg;
   cfg.search_depth = 7;
   cfg.serial_depth = 5;
-  cfg.heap_shards = static_cast<int>(state.range(0));
   std::uint64_t nodes = 0;
   std::uint64_t reclaimed = 0;
   std::uint64_t peak_bytes = 0;
@@ -249,9 +179,6 @@ void BM_NodeChurn(benchmark::State& state) {
   state.counters["peak_rss_kb"] = peak_rss_kb();
 }
 BENCHMARK(BM_NodeChurn)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -6,6 +6,7 @@
 // Othello midgame suite (O1–O3) and the random trees (R1, R3), measuring
 // with the executor's own SchedulerStats:
 //   * units/sec          — scheduler throughput (wall clock, --reps runs)
+//   * wall ms            — mean wall time of one search
 //   * lock-wait share    — fraction of worker-time blocked on the heap lock
 //   * locks/unit         — serialized heap entries per unit of work
 //   * mean batch         — batch size the workers actually achieved
@@ -15,12 +16,14 @@
 //
 // Emits BENCH_scheduler.json (schema: bench/reps stamps + one row per
 // configuration).  The headline comparison — mean lock-wait share at 8
-// threads, batch 8 vs batch 1 — is printed at the end and recorded in
-// EXPERIMENTS.md.
+// threads, batch 8 vs batch 1 — and the per-tree wall-clock speedup of 4
+// threads over 1 are printed at the end and recorded in EXPERIMENTS.md.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -35,6 +38,7 @@ struct SchedRun {
   std::uint64_t nodes = 0;       ///< mean over reps
   std::uint64_t units = 0;       ///< mean over reps
   double units_per_sec = 0.0;    ///< mean over reps
+  double wall_ms = 0.0;          ///< mean over reps
   double lock_wait_share = 0.0;  ///< mean over reps
   double locks_per_unit = 0.0;
   double mean_batch = 0.0;
@@ -98,6 +102,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
       obs::register_thread_report(*reg, report);
       obs::register_engine_lock_stats(*reg, engine.lock_stats());
     }
+    sum.wall_ms += static_cast<double>(report.elapsed_ns) / 1e6;
     ERS_CHECK(engine.root_value() == oracle &&
               "batched scheduler changed the search result");
     sum.value = engine.root_value();
@@ -117,6 +122,7 @@ SchedRun run_config(const G& game, const ers::core::EngineConfig& cfg,
   sum.nodes /= n;
   sum.units /= n;
   sum.units_per_sec /= static_cast<double>(reps);
+  sum.wall_ms /= static_cast<double>(reps);
   sum.lock_wait_share /= static_cast<double>(reps);
   sum.mean_batch /= static_cast<double>(reps);
   sum.wakeups /= n;
@@ -135,23 +141,24 @@ int main(int argc, char** argv) {
   auto opt = bench::parse_options(argc, argv, {"O1", "O2", "O3", "R1", "R3"});
   bench::print_header("Batched problem-heap scheduling (thread runtime)");
   std::printf("reps per configuration: %d\n", opt.reps);
-  std::printf("problem-heap shards: %d%s\n\n", opt.shards,
-              opt.shards > 1 ? " (work-stealing scheduler)" : "");
+  std::printf("hardware threads: %u\n\n", std::thread::hardware_concurrency());
 
   obs::TraceSession session;
   obs::TraceSession* trace = bench::trace_session_for(opt, session);
   obs::MetricsRegistry reg;
   reg.set("bench", "scheduler");
   std::unique_ptr<obs::Sampler> sampler;  // last sampled configuration
-  TextTable table({"tree", "threads", "batch", "units/s", "lock share",
-                   "locks/unit", "mean batch", "nodes", "value"});
+  TextTable table({"tree", "threads", "batch", "units/s", "wall ms",
+                   "lock share", "locks/unit", "mean batch", "nodes",
+                   "value"});
   std::vector<std::string> json;
+  // Per tree: batch-1 wall time at 1 and at 4 threads.
+  std::vector<std::pair<std::string, std::pair<double, double>>> wall_1_4;
   double wait_share_t8_k1 = 0.0, wait_share_t8_k8 = 0.0;
   int t8_points = 0;
   for (const auto& name : opt.tree_names) {
-    auto base = harness::tree_by_name(name, opt.scale);
-    base.engine.heap_shards = opt.shards;
-    if (opt.frontier >= 0) base.engine.publish_frontier = opt.frontier;
+    const auto base = harness::tree_by_name(name, opt.scale);
+    wall_1_4.push_back({base.name, {0.0, 0.0}});
     const Value oracle = std::visit(
         [&](const auto& game) {
           return alpha_beta_search(game, base.engine.search_depth,
@@ -174,9 +181,12 @@ int main(int argc, char** argv) {
           ++t8_points;
         }
         if (threads == 8 && batch == 8) wait_share_t8_k8 += r.lock_wait_share;
+        if (batch == 1 && threads == 1) wall_1_4.back().second.first = r.wall_ms;
+        if (batch == 1 && threads == 4) wall_1_4.back().second.second = r.wall_ms;
         table.add_row({base.name, std::to_string(threads),
                        std::to_string(batch),
                        TextTable::num(r.units_per_sec, 0),
+                       TextTable::num(r.wall_ms, 2),
                        TextTable::num(r.lock_wait_share, 4),
                        TextTable::num(r.locks_per_unit, 3),
                        TextTable::num(r.mean_batch, 2),
@@ -185,9 +195,11 @@ int main(int argc, char** argv) {
                            .field("tree", base.name)
                            .field("threads", threads)
                            .field("batch", batch)
-                           .field("shards", opt.shards)
+                           .field("nproc", static_cast<int>(
+                                               std::thread::hardware_concurrency()))
                            .field("units", r.units)
                            .field("units_per_sec", r.units_per_sec)
+                           .field("wall_ms", r.wall_ms)
                            .field("lock_wait_share", r.lock_wait_share)
                            .field("locks_per_unit", r.locks_per_unit)
                            .field("mean_batch", r.mean_batch)
@@ -210,6 +222,11 @@ int main(int argc, char** argv) {
             ? "batching reduces contention"
             : "NO REDUCTION");
   }
+  std::printf("\nwall-clock speedup, 4 threads over 1 (batch 1):\n");
+  for (const auto& [tree, wall] : wall_1_4)
+    if (wall.second > 0.0)
+      std::printf("  %s: %.2fx (%.2f ms -> %.2f ms)\n", tree.c_str(),
+                  wall.first / wall.second, wall.first, wall.second);
   bench::write_bench_json("scheduler", opt.reps, json, opt.json_out);
   bench::write_observability(opt, trace, reg, "scheduler");
   if (sampler != nullptr) sampler->write_json(opt.sample_sink());

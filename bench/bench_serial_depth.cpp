@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       const int p = 16;
       if (trace != nullptr) trace->clear();  // keep the last point only
       const auto pt =
-          harness::run_parallel_point(tree, p, serial, {}, nullptr, 1, trace);
+          harness::run_parallel_point(tree, p, serial, {}, nullptr, trace);
       reg.set("tree", tree.name);
       reg.set("serial_depth", sd);
       bench::register_parallel_point(reg, pt);

@@ -60,7 +60,6 @@ inline void print_abdada_rival(const FigureOptions& opt) {
 inline void print_efficiency_figure(const char* title,
                                     const FigureOptions& opt) {
   print_header(title);
-  if (opt.shards != 1) std::printf("problem-heap shards: %d\n", opt.shards);
   obs::TraceSession session;
   obs::TraceSession* trace = trace_session_for(opt, session);
   std::optional<TreeSweep> last;
@@ -68,7 +67,7 @@ inline void print_efficiency_figure(const char* title,
                    "serial alpha-beta eff.", "utilization", "idle share",
                    "waste share", "bytes/node"});
   for (const auto& name : opt.tree_names) {
-    const TreeSweep s = run_sweep(name, opt.scale, nullptr, opt.shards, trace);
+    const TreeSweep s = run_sweep(name, opt.scale, nullptr, trace);
     for (const auto& p : s.points) {
       const double cap =
           static_cast<double>(p.metrics.makespan) * p.processors;
@@ -107,14 +106,13 @@ inline void print_efficiency_figure(const char* title,
 /// alpha-beta and serial ER node counts as the reference bars.
 inline void print_nodes_figure(const char* title, const FigureOptions& opt) {
   print_header(title);
-  if (opt.shards != 1) std::printf("problem-heap shards: %d\n", opt.shards);
   obs::TraceSession session;
   obs::TraceSession* trace = trace_session_for(opt, session);
   std::optional<TreeSweep> last;
   TextTable table({"tree", "procs", "nodes generated", "vs serial ER",
                    "serial ER nodes", "alpha-beta nodes"});
   for (const auto& name : opt.tree_names) {
-    const TreeSweep s = run_sweep(name, opt.scale, nullptr, opt.shards, trace);
+    const TreeSweep s = run_sweep(name, opt.scale, nullptr, trace);
     const auto er_nodes = s.serial.er.nodes_generated();
     for (const auto& p : s.points) {
       table.add_row({s.tree.name, std::to_string(p.processors),

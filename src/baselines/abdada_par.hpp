@@ -4,7 +4,7 @@
 // (DESIGN.md §14).
 //
 // Unlike every other parallel driver in this repo, this one never touches
-// the problem heap: there is no engine, no acquire/commit, no shards.  Each
+// the problem heap: there is no engine and no acquire/commit.  Each
 // depth iteration spawns `threads` std::threads that all run the same
 // AbdadaSearcher from the same root with the same aspiration window (seeded
 // by the previous depth's value, search/aspiration.hpp); the shared

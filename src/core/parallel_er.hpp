@@ -6,7 +6,6 @@
 //   * parallel_er_sim: run on the deterministic P-processor simulator and
 //     report timing metrics (the experiment path; see DESIGN.md §1).
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -54,24 +53,19 @@ struct SimulatedSearchResult {
 };
 
 /// Search `game` to cfg.search_depth with parallel ER on `threads` OS
-/// threads.  The engine synchronizes itself with per-shard locks and a
-/// flat-combining commit path (DESIGN.md §12); there is no global engine
-/// mutex, so workers touching different shards proceed concurrently.
-/// `batch` is the scheduler batch size: units each worker pulls and commits
-/// per engine lock section (1 = the unbatched scheduler).
-/// `shards` partitions the problem heap (cfg.heap_shards wins if larger):
-/// with more than one shard the executor runs its work-stealing scheduler —
-/// per-worker run queues fed from home shards, randomized stealing between
-/// them.  The returned value equals serial negmax at every (batch, shards).
+/// threads.  The engine is one problem heap behind one lock (DESIGN.md §10);
+/// workers compute their units outside it.  `batch` is the scheduler batch
+/// size: units each worker pulls and commits per engine lock section (1 =
+/// the unbatched scheduler).  The returned value equals serial negmax at
+/// every (threads, batch).
 /// `trace` (optional) records the run into per-worker ring buffers for
 /// Perfetto export / trace_report (obs/trace_writer.hpp); it covers both
 /// the executor's scheduling events and the engine's own hooks.
 template <Game G>
 [[nodiscard]] ParallelSearchResult<typename G::Position> parallel_er_threads(
     const G& game, const core::EngineConfig& cfg, int threads, int batch = 1,
-    int shards = 1, obs::TraceSession* trace = nullptr) {
+    obs::TraceSession* trace = nullptr) {
   core::EngineConfig c = cfg;
-  c.heap_shards = std::max(c.heap_shards, shards);
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
@@ -97,18 +91,13 @@ template <Game G>
 template <Game G>
 [[nodiscard]] SimulatedSearchResult<typename G::Position> parallel_er_sim(
     const G& game, const core::EngineConfig& cfg, int processors,
-    sim::CostModel cost = {}, int queue_shards = 1, int batch = 1,
+    sim::CostModel cost = {}, int batch = 1,
     obs::TraceSession* trace = nullptr, obs::Sampler* sampler = nullptr) {
-  // The engine's heap partition and the simulator's shard locks must
-  // coincide for the routed contention model to mean anything; the engine's
-  // global pop order is shard-count-invariant, so this never changes the
-  // schedule or the node counts — only the serialization delays.
   core::EngineConfig c = cfg;
-  c.heap_shards = std::max(c.heap_shards, queue_shards);
   c.trace = trace;
   if (c.shared_table != nullptr) c.shared_table->new_search();
   core::Engine<G> engine(game, c);
-  sim::SimExecutor<core::Engine<G>> exec(processors, cost, c.heap_shards, batch);
+  sim::SimExecutor<core::Engine<G>> exec(processors, cost, batch);
   exec.with_trace(trace).with_sampler(sampler);
   const sim::SimMetrics m = exec.run(engine);
   return SimulatedSearchResult<typename G::Position>{

@@ -21,17 +21,6 @@ namespace ers::core {
 /// Sentinel for "no node" in the engines' child/parent links.
 inline constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
-/// Problem-heap placement policy (core/shard_policy.hpp): which shard a
-/// node's queue entries are homed on.
-enum class PlacementMode : std::uint8_t {
-  /// `parent % S` — children of one commit colocate on one shard (default).
-  kParentMod,
-  /// Top-level-subtree affinity — root child i and all its descendants map
-  /// to shard i % S, so disjoint subtrees never share a home shard and
-  /// frontier-truncated commits (DESIGN.md §13) lock disjoint shard sets.
-  kSubtreeAffinity,
-};
-
 /// Node roles in the parallel tree (paper §6, Tables 1 and 2).
 enum class NodeType : std::uint8_t {
   kENode,      ///< all children generated and examined (one becomes the value)
@@ -67,95 +56,16 @@ enum class SpecRankPolicy : std::uint8_t {
   kBestBound,
   /// Arrival order (no ranking) — the control.
   kFifo,
-  /// Bound-driven composite rank (the §8 "better mechanism for globally
-  /// ranking speculative work"): primary key is the candidate's remaining
-  /// sibling-bound distance — how much room the node's live search window
-  /// (from the §13 epoch words) still leaves its best unpromoted child —
-  /// so entries whose siblings' published bounds have tightened past them
-  /// sink; a per-shard steal-pressure bucket (fed back by the stealing
-  /// executor, see Engine::note_steal) demotes entries homed on contended
-  /// shards; ties break toward smaller expansion fronts (fewest
-  /// e-children) and shallower nodes, the paper's ordering.  Under the
-  /// simulator steal pressure is identically zero, so the rank is a pure
-  /// deterministic function of committed state.
-  kStealAware,
 };
-
-/// Steal-aware speculation control (DESIGN.md §17): the dynamic policies
-/// layered on top of SpecRankPolicy.  All default off — with every toggle
-/// off the engine's pop order is bit-identical to the seed at every shard
-/// count (the acceptance invariant the determinism sweeps pin).
-struct SpecControlConfig {
-  /// Re-rank speculative entries at pop time against the *current*
-  /// published bounds: an entry whose recomputed rank worsened since it
-  /// was pushed is demoted (re-pushed at its new rank through the
-  /// spec_seq staleness path — cancel-on-demote), and an entry whose
-  /// window has closed entirely is re-windowed the same way so it only
-  /// surfaces once every cheaper candidate is gone.
-  bool bound_demote = false;
-  /// Fold executor steal pressure into the rank (kStealAware only):
-  /// stolen-from shards see their speculative entries demoted, so
-  /// speculation concentrates where home workers keep up.  Pressure
-  /// decays each combine round.
-  bool steal_feedback = false;
-  /// Cap live speculative promotions per shard, derived each combine
-  /// round from the waste ledger's running speculative-loss share:
-  /// budget_max while the share is at or under waste_target, shrinking
-  /// proportionally (floored at budget_min) as waste overshoots.
-  bool budget = false;
-  int budget_min = 1;
-  int budget_max = 64;
-  double waste_target = 0.10;
-
-  [[nodiscard]] bool any() const noexcept {
-    return bound_demote || steal_feedback || budget;
-  }
-};
-
-/// EngineConfig::publish_frontier sentinel: derive F from the tree shape
-/// and shard count at engine construction (core/shard_policy.hpp,
-/// derived_publish_frontier).  Any value >= 0 is an explicit override.
-inline constexpr int kAdaptiveFrontier = -1;
-
 struct EngineConfig {
   int search_depth = 7;
   /// Ply at which serial ER takes over: nodes at this ply are resolved as a
   /// single (heavy) work unit.  Must be in [0, search_depth].
   int serial_depth = 5;
-  /// Number of independently orderable problem-heap shards (paper §8's
-  /// "distribute the work to reduce processor interaction").  Work routes to
-  /// the shard owning a node's parent, so siblings colocate and a worker
-  /// draining one shard keeps depth-first focus.  1 = the paper's single
-  /// heap; the global acquire order is identical at every shard count (the
-  /// global maximum is the maximum over shard tops under the same
-  /// comparator), so sharding never changes the schedule — only which
-  /// executor lock/queue serves each pop.
-  int heap_shards = 1;
-  /// Epoch-publication frontier (DESIGN.md §13).  Nodes at ply <
-  /// publish_frontier are "high": every (value, finished) mutation on them
-  /// is additionally published through a versioned atomic word, so
-  /// cross-shard window/dead reads validate against the published epoch
-  /// instead of requiring the reader to hold their shard locks — and a
-  /// commit whose node sits at ply >= publish_frontier locks only the
-  /// shards of chain nodes near the frontier (the *truncated touch set*),
-  /// leaving the root's shard out of almost every commit.  0 disables both
-  /// the publication word and the truncation (the PR 5 full-lock path);
-  /// the committed-state sequence is bit-identical either way.  The
-  /// default, kAdaptiveFrontier, resolves at engine construction to
-  /// derived_publish_frontier(search_depth, serial_depth, heap_shards) —
-  /// 0 at one shard, 2 + log2(shards) capped at serial_depth - 1 otherwise
-  /// (the historical fixed 4 at the standard 7/5 trees with 4–8 shards).
-  int publish_frontier = kAdaptiveFrontier;
-  /// Problem-heap placement (core/shard_policy.hpp).
-  PlacementMode placement = PlacementMode::kParentMod;
   /// Move ordering applied to non-e-node children (paper §7).
   OrderingPolicy ordering;
   SpeculationConfig speculation;
   SpecRankPolicy spec_rank = SpecRankPolicy::kFewestEChildren;
-  /// Dynamic speculation control (demotion / steal feedback / budget).
-  /// All-off by default: the engine then behaves bit-identically to a
-  /// build without the feature.
-  SpecControlConfig spec_control;
   /// Shared move-ordering tables (search/ordering.hpp): history counters
   /// and killer slots consulted by expansion-time child sorts and the
   /// serial-ER units.  Not owned; null keeps the paper's pure
@@ -167,12 +77,10 @@ struct EngineConfig {
   /// HashedGame.
   ConcurrentTranspositionTable* shared_table = nullptr;
   /// Tracing session for the scheduling events only the engine sees
-  /// (speculative spawn/cancel, unit commits, combine batches).  The engine
-  /// writes the session's dedicated engine tracer from whichever thread is
-  /// the current commit combiner (there is exactly one at a time), and the
-  /// per-shard rings (ensure_shards) from under each shard's own lock.  Not
-  /// owned; null disables engine-side tracing (the executors trace their
-  /// own events independently via the same session).
+  /// (speculative spawn/cancel, unit commits).  The engine writes the
+  /// session's dedicated engine tracer under its own lock.  Not owned; null
+  /// disables engine-side tracing (the executors trace their own events
+  /// independently via the same session).
   obs::TraceSession* trace = nullptr;
 };
 
@@ -187,64 +95,22 @@ struct EngineStats {
   std::uint64_t refutations_dispatched = 0; ///< children re-typed r-node
   std::uint64_t cutoffs_at_pop = 0;         ///< units cancelled before compute
   std::uint64_t dead_items_dropped = 0;     ///< queue entries under finished ancestors
-  /// Speculation-control counters (SpecControlConfig; all zero with the
-  /// controls off).
-  std::uint64_t spec_demotions = 0;         ///< entries re-ranked at pop (rank worsened)
-  std::uint64_t spec_rewindows = 0;         ///< entries re-pushed with a closed window
-  std::uint64_t spec_budget_deferrals = 0;  ///< spec pops skipped on over-budget shards
-  std::uint64_t steal_events = 0;           ///< executor steal-pressure feedback calls
 };
 
-/// Snapshot of the engine's internal lock accounting under per-shard
-/// locking with flat-combining commits (engine.hpp).  Counters accrue
-/// whether or not a trace session is attached, from the same clock readings
-/// that feed the traced wait/hold spans, so report totals and span totals
-/// agree exactly.  The thread runtime folds this into its SchedulerStats;
-/// metrics_adapters exports it per shard.
+/// The engine lock's accounting: one entry per acquire or commit critical
+/// section.  Counters accrue whether or not a trace session is attached,
+/// from the same clock readings that feed the traced wait/hold spans, so
+/// report totals and span totals agree exactly.  The thread runtime folds
+/// this into its SchedulerStats.
 struct EngineLockStats {
-  /// Single-shard lock sections (shard-local and, at S=1, global acquires),
-  /// indexed by shard.
-  std::vector<std::uint64_t> shard_acquisitions;
-  std::vector<std::uint64_t> shard_wait_ns;
-  std::vector<std::uint64_t> shard_hold_ns;
-  /// Multi-shard lock sections: global acquires at S>1 and combiner apply
-  /// rounds, which take their whole (ascending) lock set as one section.
-  std::uint64_t multi_acquisitions = 0;
-  std::uint64_t multi_wait_ns = 0;
-  std::uint64_t multi_hold_ns = 0;
-  /// Flat-combining commit path.
-  std::uint64_t combine_batches = 0;       ///< combiner drain rounds executed
-  std::uint64_t combine_records = 0;       ///< publish records applied
-  std::uint64_t combine_entries = 0;       ///< commit entries inside those records
-  std::uint64_t combine_peer_applied = 0;  ///< records another thread's combiner applied
-  std::uint64_t combine_wait_ns = 0;       ///< publisher time blocked before combining/applied
-  /// Frontier-truncation / epoch-publication path (DESIGN.md §13).
-  std::uint64_t truncated_records = 0;      ///< apply sections run with a frontier-truncated lock set
-  std::uint64_t frontier_continuations = 0; ///< backups escalated past the frontier under full-chain locks
-  std::uint64_t root_publishes = 0;         ///< epoch publications of a high node's (value, finished)
-  std::uint64_t root_publish_retries = 0;   ///< CAS re-validation retries while publishing
-  std::uint64_t root_validate_retries = 0;  ///< reader-side epoch validation retries (window_of)
-
-  [[nodiscard]] std::uint64_t total_acquisitions() const noexcept {
-    std::uint64_t n = multi_acquisitions;
-    for (const std::uint64_t a : shard_acquisitions) n += a;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t total_wait_ns() const noexcept {
-    std::uint64_t n = multi_wait_ns + combine_wait_ns;
-    for (const std::uint64_t w : shard_wait_ns) n += w;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t total_hold_ns() const noexcept {
-    std::uint64_t n = multi_hold_ns;
-    for (const std::uint64_t h : shard_hold_ns) n += h;
-    return n;
-  }
+  std::uint64_t acquisitions = 0;
+  std::uint64_t wait_ns = 0;  ///< blocked entering a critical section
+  std::uint64_t hold_ns = 0;  ///< inside a critical section
 };
 
 /// Memory-occupancy snapshot of the engine's two-tier node storage
 /// (DESIGN.md §15): the id-stable hot arena, the id-parallel position
-/// arena, and the per-shard cold-record slabs.  Every byte total is
+/// arena, and the cold-record slab.  Every byte total is
 /// monotone — arena chunks and slab chunks are never returned before the
 /// engine is destroyed, and freelists recycle *inside* chunks — so
 /// peak_bytes is simply the current reserved total.  Exported through
@@ -256,7 +122,7 @@ struct EngineMemStats {
   std::uint64_t cold_allocated = 0;  ///< cold records ever allocated
   std::uint64_t cold_live = 0;       ///< cold records currently attached
   std::uint64_t cold_reclaimed = 0;  ///< cold records returned (finish/dead)
-  std::uint64_t slab_bytes = 0;      ///< cold-slab chunk bytes across shards
+  std::uint64_t slab_bytes = 0;      ///< cold-slab chunk bytes
   std::uint64_t peak_bytes = 0;      ///< hot + position + slab (monotone)
 };
 
@@ -273,22 +139,12 @@ struct EngineMemStats {
 ///                          an ancestor had already finished.  Dead drops
 ///                          count entries only: the subtree's committed
 ///                          compute was charged when the subtree died.
-///   * kSpecDemoted       — a speculative entry re-ranked at pop time
-///                          because its recomputed rank had worsened
-///                          (bound tightening or steal pressure; see
-///                          SpecControlConfig::bound_demote).  Entry-level
-///                          like kDeadDrop: no committed work is charged.
-///   * kSpecRewindowed    — a speculative entry whose search window had
-///                          closed entirely at pop time, re-pushed at the
-///                          back of the rank order.  Entry-level.
 enum class WasteCause : std::uint8_t {
   kBoundChange = 0,
   kSiblingResolution = 1,
   kDeadDrop = 2,
-  kSpecDemoted = 3,
-  kSpecRewindowed = 4,
 };
-inline constexpr std::size_t kWasteCauseCount = 5;
+inline constexpr std::size_t kWasteCauseCount = 3;
 
 /// The ledger's ply axis: engine nodes live above the serial frontier
 /// (ply in [0, search_depth - serial_depth]), so bands are single plies
@@ -353,8 +209,6 @@ struct EngineWasteStats {
     case WasteCause::kBoundChange: return "bound_change";
     case WasteCause::kSiblingResolution: return "sibling_resolution";
     case WasteCause::kDeadDrop: return "dead_drop";
-    case WasteCause::kSpecDemoted: return "spec_demoted";
-    case WasteCause::kSpecRewindowed: return "spec_rewindowed";
   }
   return "unknown";
 }
@@ -386,8 +240,8 @@ struct WorkItem {
   /// (dispatch_refutations re-types queued/running children), so compute()
   /// must consult this copy, never the node's field.
   NodeType ntype = NodeType::kUndecided;
-  /// Stable pointer to the engine node, captured under the node's shard
-  /// lock at acquire time.  compute() runs with no engine lock held, and
+  /// Stable pointer to the engine node, captured under the engine lock at
+  /// acquire time.  compute() runs with no engine lock held, and
   /// indexing the node container there would race with concurrent commits
   /// growing it; arena slots never move, so the pointer is safe while the
   /// item is in flight.

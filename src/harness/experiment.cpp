@@ -33,7 +33,7 @@ ParallelPoint run_parallel_point(const ExperimentTree& tree, int processors,
                                  const SerialBaseline& serial,
                                  const sim::CostModel& cost,
                                  const core::SpeculationConfig* speculation,
-                                 int shards, obs::TraceSession* trace) {
+                                 obs::TraceSession* trace) {
   core::EngineConfig cfg = tree.engine;
   if (speculation != nullptr) cfg.speculation = *speculation;
 
@@ -41,8 +41,8 @@ ParallelPoint run_parallel_point(const ExperimentTree& tree, int processors,
   p.processors = processors;
   std::visit(
       [&](const auto& game) {
-        const auto r = parallel_er_sim(game, cfg, processors, cost, shards,
-                                       /*batch=*/1, trace);
+        const auto r =
+            parallel_er_sim(game, cfg, processors, cost, /*batch=*/1, trace);
         p.value = r.value;
         p.engine = r.engine;
         p.metrics = r.metrics;

@@ -53,15 +53,13 @@ struct ParallelPoint {
                                                   const sim::CostModel& cost = {});
 
 /// One simulated parallel-ER run.  `speculation` overrides the engine
-/// config's speculation settings (for the ablation bench); `shards`
-/// partitions the problem heap (1 = the paper's single heap) — the root
-/// value is shard-invariant, only the serialization delays move.  `trace`
+/// config's speculation settings (for the ablation bench).  `trace`
 /// (optional) records the simulated schedule into the session on its
 /// virtual clock (obs/trace_writer.hpp exports it for Perfetto).
 [[nodiscard]] ParallelPoint run_parallel_point(
     const ExperimentTree& tree, int processors, const SerialBaseline& serial,
     const sim::CostModel& cost = {},
-    const core::SpeculationConfig* speculation = nullptr, int shards = 1,
+    const core::SpeculationConfig* speculation = nullptr,
     obs::TraceSession* trace = nullptr);
 
 /// Serial-ER node count on this tree — the P-agnostic reference of Figures

@@ -6,11 +6,9 @@
 // appends to it with no synchronization whatsoever: a Tracer is
 // single-producer by construction, and buffers are only merged after the
 // workers have joined (thread runtime) or on the single simulator thread.
-// The engine gets one extra tracer of its own, written strictly by the
-// current commit combiner (one at a time, by construction), for the events
-// only the scheduling state machine can see (speculative promotions,
-// pop-time cancellations, unit commits), plus one tracer per heap shard,
-// written only under that shard's lock, for acquire-side events.
+// The engine gets one extra tracer of its own, written only under the
+// engine lock, for the events only the scheduling state machine can see
+// (speculative promotions, pop-time cancellations, unit commits).
 //
 // A full ring drops new events and counts the drops instead of resizing or
 // overwriting — the record stays a prefix of the truth and consumers can
@@ -48,8 +46,6 @@ inline constexpr bool kTracingEnabled = true;
 
 /// Sentinel for events not tied to an engine node.
 inline constexpr std::uint32_t kNoTraceNode = 0xffffffffu;
-/// Sentinel shard for events not tied to one heap shard.
-inline constexpr std::uint16_t kNoTraceShard = 0xffffu;
 
 /// One schema for both executors.  Span kinds carry a duration; instants
 /// have dur == 0.  The `arg` meaning is per kind (see event_name cases).
@@ -60,17 +56,12 @@ enum class EventKind : std::uint8_t {
   kLockHoldSpan,  ///< inside the serialized heap section
   kSleepSpan,     ///< parked on the cv (thread) / starving (sim)
   // --- scheduling instants -----------------------------------------------
-  kAcquireBatch,  ///< arg = units acquired; shard = serving shard
+  kAcquireBatch,  ///< arg = units acquired
   kCommitBatch,   ///< arg = units committed
-  kStealProbe,    ///< arg = victim worker probed
-  kStealHit,      ///< arg = victim worker; node = stolen unit's node
-  kStealMiss,     ///< arg = victim worker (locked out or empty)
-  kRefillHome,    ///< arg = units pulled from the home shard; shard = home
-  kRefillGlobal,  ///< arg = units pulled by the global fallback scan
   kWakeup,        ///< arg = notify_one calls issued
   kTtProbe,       ///< arg = table probes performed by one unit's compute
   kTtHit,         ///< arg = validated table hits in one unit's compute
-  // --- engine instants (combiner-serialized, or per-shard rings) ----------
+  // --- engine instants (written under the engine lock) --------------------
   kSpecSpawn,   ///< speculative/mandatory promotion; node = child, arg = parent
   kSpecCancel,  ///< queued work cancelled; arg: 0 = dead queue-entry drop,
                 ///< 1 = pop-time cutoff on the node itself, 2 = subtree
@@ -79,22 +70,12 @@ enum class EventKind : std::uint8_t {
                 ///< matching the engine waste ledger's kill charges)
   kUnitCommit,  ///< unit committed; node = node id, arg = parent node id,
                 ///< dur = executor-measured compute ns (waste reconciliation)
-  // --- flat-combining commit path (engine-internal locking) ---------------
-  kCombinePublish,  ///< commit record published; shard = apply queue, arg = entries
-  kCombineBatch,    ///< one combiner drain round; arg = records applied
-  // --- epoch publication path (DESIGN.md §13) -----------------------------
-  kEpochPublish,  ///< high-node (value, finished) published; node = id, arg = epoch
-  kEpochRetry,    ///< reader-side epoch validation retry; node = queried id
   // --- ABDADA two-phase iteration (DESIGN.md §14) --------------------------
   kAbdadaDefer,    ///< younger sibling skipped (busy elsewhere); arg = ply
   kAbdadaRevisit,  ///< deferred move searched in phase two; arg = ply
-  // --- steal-aware speculation control (DESIGN.md §17) ---------------------
-  kSpecDemote,    ///< spec entry re-pushed, rank decayed; node = the entry's
-                  ///< node, arg: 1 = steal-pressure-driven, 0 = bound-driven
-  kSpecRewindow,  ///< spec entry re-pushed, window moved past its candidate
 };
 inline constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::kSpecRewindow) + 1;
+    static_cast<std::size_t>(EventKind::kAbdadaRevisit) + 1;
 
 /// Stable display/schema name of a kind (the Perfetto event `name`).
 [[nodiscard]] constexpr const char* event_name(EventKind k) noexcept {
@@ -105,25 +86,14 @@ inline constexpr std::size_t kEventKindCount =
     case EventKind::kSleepSpan: return "sleep";
     case EventKind::kAcquireBatch: return "acquire_batch";
     case EventKind::kCommitBatch: return "commit_batch";
-    case EventKind::kStealProbe: return "steal_probe";
-    case EventKind::kStealHit: return "steal_hit";
-    case EventKind::kStealMiss: return "steal_miss";
-    case EventKind::kRefillHome: return "refill_home";
-    case EventKind::kRefillGlobal: return "refill_global";
     case EventKind::kWakeup: return "wakeup";
     case EventKind::kTtProbe: return "tt_probe";
     case EventKind::kTtHit: return "tt_hit";
     case EventKind::kSpecSpawn: return "spec_spawn";
     case EventKind::kSpecCancel: return "spec_cancel";
     case EventKind::kUnitCommit: return "unit_commit";
-    case EventKind::kCombinePublish: return "combine_publish";
-    case EventKind::kCombineBatch: return "combine_batch";
-    case EventKind::kEpochPublish: return "epoch_publish";
-    case EventKind::kEpochRetry: return "epoch_retry";
     case EventKind::kAbdadaDefer: return "abdada_defer";
     case EventKind::kAbdadaRevisit: return "abdada_revisit";
-    case EventKind::kSpecDemote: return "spec_demote";
-    case EventKind::kSpecRewindow: return "spec_rewindow";
   }
   return "unknown";
 }
@@ -140,7 +110,6 @@ struct TraceEvent {
   std::uint32_t node = kNoTraceNode;  ///< engine node id, if any
   std::uint32_t arg = 0;              ///< kind-specific payload
   std::uint16_t worker = 0;           ///< emitting worker (tid in the trace)
-  std::uint16_t shard = kNoTraceShard;
   EventKind kind = EventKind::kComputeSpan;
 
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
@@ -156,35 +125,35 @@ class Tracer {
     capacity_ = kTracingEnabled ? capacity : 0;
   }
 
-  /// The engine's tracer is written by whichever worker holds the engine
-  /// lock; the executor re-points it before driving the engine.
+  /// The engine's tracer is written under the engine lock; the simulator
+  /// re-points it to its current virtual worker before driving the engine.
   void set_worker(std::uint16_t w) noexcept { worker_ = w; }
   [[nodiscard]] std::uint16_t worker() const noexcept { return worker_; }
 
   void record(EventKind kind, std::uint64_t ts, std::uint64_t dur,
-              std::uint32_t node = kNoTraceNode, std::uint32_t arg = 0,
-              std::uint16_t shard = kNoTraceShard) noexcept {
+              std::uint32_t node = kNoTraceNode,
+              std::uint32_t arg = 0) noexcept {
     if constexpr (!kTracingEnabled) {
-      (void)kind; (void)ts; (void)dur; (void)node; (void)arg; (void)shard;
+      (void)kind; (void)ts; (void)dur; (void)node; (void)arg;
       return;
     }
     if (buf_.size() >= capacity_) {
       ++dropped_;
       return;
     }
-    buf_.push_back(TraceEvent{ts, dur, node, arg, worker_, shard, kind});
+    buf_.push_back(TraceEvent{ts, dur, node, arg, worker_, kind});
   }
 
   void span(EventKind kind, std::uint64_t from, std::uint64_t to,
-            std::uint32_t node = kNoTraceNode, std::uint32_t arg = 0,
-            std::uint16_t shard = kNoTraceShard) noexcept {
-    record(kind, from, to >= from ? to - from : 0, node, arg, shard);
+            std::uint32_t node = kNoTraceNode,
+            std::uint32_t arg = 0) noexcept {
+    record(kind, from, to >= from ? to - from : 0, node, arg);
   }
 
   void instant(EventKind kind, std::uint64_t ts,
-               std::uint32_t node = kNoTraceNode, std::uint32_t arg = 0,
-               std::uint16_t shard = kNoTraceShard) noexcept {
-    record(kind, ts, 0, node, arg, shard);
+               std::uint32_t node = kNoTraceNode,
+               std::uint32_t arg = 0) noexcept {
+    record(kind, ts, 0, node, arg);
   }
 
   [[nodiscard]] std::span<const TraceEvent> events() const noexcept {
@@ -246,31 +215,9 @@ class TraceSession {
     return engine_tracer_;
   }
 
-  /// Grow (never shrink) the per-shard tracer set.  One ring per heap
-  /// shard, written only by the thread holding that shard's lock — the
-  /// engine's acquire-side events (dead-entry drops, combine-record
-  /// publishes) land here because concurrent shard-local acquires can no
-  /// longer share the single engine ring.  Shard events are attributed to
-  /// the kEngineWorker track, so timeline analysis keeps treating them as
-  /// engine events rather than inventing phantom workers.
-  void ensure_shards(std::size_t shards) {
-    while (shard_tracers_.size() < shards)
-      shard_tracers_.push_back(
-          std::make_unique<Tracer>(kEngineWorker, capacity_));
-  }
-  [[nodiscard]] Tracer& shard_tracer(std::size_t s) {
-    ERS_CHECK(s < shard_tracers_.size());
-    return *shard_tracers_[s];
-  }
-  [[nodiscard]] std::size_t shard_tracer_count() const noexcept {
-    return shard_tracers_.size();
-  }
-
-  /// The engine tracer's events are attributed to the worker that holds
-  /// the combiner lock at the time; the single-threaded simulator re-points
-  /// this before driving acquire/commit.  (The thread runtime leaves the
-  /// attribution at kEngineWorker: under per-shard locking there is no one
-  /// worker "holding the engine".)
+  /// The single-threaded simulator attributes the engine tracer's events
+  /// to the virtual worker driving acquire/commit; the thread runtime leaves
+  /// them on the kEngineWorker track.
   void set_current_worker(int w) noexcept {
     engine_tracer_.set_worker(static_cast<std::uint16_t>(w));
   }
@@ -324,14 +271,11 @@ class TraceSession {
     std::vector<TraceEvent> out;
     std::size_t total = engine_tracer_.size();
     for (const auto& w : workers_) total += w->size();
-    for (const auto& s : shard_tracers_) total += s->size();
     out.reserve(total);
     for (const auto& w : workers_)
       out.insert(out.end(), w->events().begin(), w->events().end());
     out.insert(out.end(), engine_tracer_.events().begin(),
                engine_tracer_.events().end());
-    for (const auto& s : shard_tracers_)
-      out.insert(out.end(), s->events().begin(), s->events().end());
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        if (a.ts != b.ts) return a.ts < b.ts;
@@ -347,13 +291,11 @@ class TraceSession {
   [[nodiscard]] std::uint64_t total_dropped() const noexcept {
     std::uint64_t n = engine_tracer_.dropped();
     for (const auto& w : workers_) n += w->dropped();
-    for (const auto& s : shard_tracers_) n += s->dropped();
     return n;
   }
 
   void clear() {
     for (const auto& w : workers_) w->clear();
-    for (const auto& s : shard_tracers_) s->clear();
     engine_tracer_.clear();
   }
 
@@ -364,7 +306,6 @@ class TraceSession {
  private:
   std::size_t capacity_;
   std::vector<std::unique_ptr<Tracer>> workers_;
-  std::vector<std::unique_ptr<Tracer>> shard_tracers_;
   Tracer engine_tracer_;
   std::chrono::steady_clock::time_point epoch_;
   bool virtual_clock_ = false;

@@ -1,12 +1,10 @@
 #pragma once
 // Offline analysis of a traced run (DESIGN.md §11): turns the flat event
 // stream — straight from a TraceSession, or loaded back from a Perfetto
-// trace file — into the three summaries the ISSUE's tooling exposes:
+// trace file — into these summaries:
 //
 //   * per-worker timelines: busy / lock-wait / lock-hold / starve totals,
 //     units computed, utilization over the trace extent;
-//   * the steal-migration matrix: how many units moved thief <- victim,
-//     plus probe/hit/miss totals;
 //   * the critical path through the unit dependency graph, rebuilt from
 //     kUnitCommit instants (node, arg = parent) and costed with the
 //     kComputeSpan durations: cost(n) = dur(n) + max over children cost(c).
@@ -83,8 +81,6 @@ inline bool parse_perfetto(const std::string& json,
         ev.node = static_cast<std::uint32_t>(n->as_uint64());
       if (const JsonValue* a = args->find("arg"); a != nullptr)
         ev.arg = static_cast<std::uint32_t>(a->as_uint64());
-      if (const JsonValue* s = args->find("shard"); s != nullptr)
-        ev.shard = static_cast<std::uint16_t>(s->as_uint64());
       // Instant payload duration (exact ns; see trace_writer.hpp).
       if (const JsonValue* d = args->find("dur_ns"); d != nullptr)
         ev.dur = d->as_uint64();
@@ -151,14 +147,6 @@ struct SpeculationWaste {
   WasteCauseTotal sibling_resolution;  ///< kSpecCancel arg = 3
   std::uint64_t dead_drops = 0;   ///< arg = 0: dead queue entries (no compute)
   std::uint64_t pop_cutoffs = 0;  ///< arg = 1: pop-time cutoffs (not waste)
-  // Steal-aware speculation control (DESIGN.md §17): queue-entry events,
-  // never committed work, so they carry counts only.
-  std::uint64_t demotions = 0;   ///< kSpecDemote: spec entries re-ranked down
-  std::uint64_t rewindows = 0;   ///< kSpecRewindow: window moved past entry
-  /// Nodes the controller demoted under steal pressure (kSpecDemote arg = 1)
-  /// whose subtree was later cancelled anyway — demotions that provably
-  /// saved a speculative promotion from being wasted.
-  std::uint64_t stolen_then_cancelled = 0;
 
   [[nodiscard]] std::uint64_t total_cancels() const noexcept {
     return bound_change.cancels + sibling_resolution.cancels + dead_drops;
@@ -173,11 +161,6 @@ struct SpeculationWaste {
 
 struct TraceReport {
   std::vector<WorkerTimeline> workers;  ///< real worker tracks, id order
-  /// steal_matrix[thief][victim] = units migrated by successful steals.
-  std::vector<std::vector<std::uint64_t>> steal_matrix;
-  std::uint64_t steal_probes = 0;
-  std::uint64_t steal_hits = 0;
-  std::uint64_t steal_misses = 0;
   /// Event count per kind across all tracks (engine track included).
   std::array<std::uint64_t, kEventKindCount> counts{};
   std::uint64_t span_begin = 0;  ///< earliest event ts
@@ -220,9 +203,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
   // own expand commit, so every ancestor of a committed node committed.
   std::unordered_map<std::uint32_t, std::uint32_t> parent;
   std::unordered_map<std::uint32_t, std::uint32_t> cancelled;
-  // Nodes demoted under steal pressure, intersected with the cancelled
-  // subtrees after pass 1 (stolen_then_cancelled).
-  std::vector<std::uint32_t> steal_demoted;
   int max_worker = -1;
   bool first_event = true;
   for (const TraceEvent& e : events) {
@@ -259,9 +239,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
       case EventKind::kComputeSpan:
         if (e.node != kNoTraceNode) node_cost[e.node] += e.dur;
         break;
-      case EventKind::kStealProbe: ++rep.steal_probes; break;
-      case EventKind::kStealHit: ++rep.steal_hits; break;
-      case EventKind::kStealMiss: ++rep.steal_misses; break;
       case EventKind::kUnitCommit:
         ++rep.units;
         if (e.node != kNoTraceNode && e.arg != kNoTraceNode &&
@@ -286,29 +263,7 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
           default: break;
         }
         break;
-      case EventKind::kSpecDemote:
-        ++rep.waste.demotions;
-        if (e.arg == 1 && e.node != kNoTraceNode)
-          steal_demoted.push_back(e.node);
-        break;
-      case EventKind::kSpecRewindow: ++rep.waste.rewindows; break;
       default: break;
-    }
-  }
-
-  // Steal-pressure demotions vindicated by a later cancel: the demoted
-  // node's subtree (nearest cancelled ancestor, self included) died, so
-  // the promotion the controller withheld would have been pure waste.
-  if (!cancelled.empty() && !steal_demoted.empty()) {
-    for (std::uint32_t n : steal_demoted) {
-      for (std::uint32_t a = n; a != kNoTraceNode;) {
-        if (cancelled.count(a) > 0) {
-          ++rep.waste.stolen_then_cancelled;
-          break;
-        }
-        auto p = parent.find(a);
-        a = p == parent.end() ? kNoTraceNode : p->second;
-      }
     }
   }
 
@@ -334,7 +289,7 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
     }
   }
 
-  // --- worker table and steal matrix --------------------------------------
+  // --- worker table ---------------------------------------------------------
   const int workers = max_worker + 1;
   rep.workers.reserve(static_cast<std::size_t>(std::max(workers, 0)));
   for (int w = 0; w < workers; ++w) {
@@ -343,17 +298,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
                            : WorkerTimeline{};
     t.worker = w;
     rep.workers.push_back(t);
-  }
-  rep.steal_matrix.assign(static_cast<std::size_t>(std::max(workers, 0)),
-                          std::vector<std::uint64_t>(
-                              static_cast<std::size_t>(std::max(workers, 0)),
-                              0));
-  for (const TraceEvent& e : events) {
-    if (e.kind != EventKind::kStealHit) continue;
-    const auto thief = static_cast<std::size_t>(e.worker);
-    const auto victim = static_cast<std::size_t>(e.arg);
-    if (thief < rep.steal_matrix.size() && victim < rep.steal_matrix.size())
-      ++rep.steal_matrix[thief][victim];
   }
 
   // --- critical path -------------------------------------------------------
@@ -442,23 +386,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
                      TextTable::num(w.utilization())});
   workers.print(os);
 
-  if (rep.steal_probes + rep.steal_hits + rep.steal_misses > 0) {
-    os << "\n== steal migration (rows = thief, cols = victim) ==\n";
-    std::vector<std::string> headers{"thief\\victim"};
-    for (std::size_t v = 0; v < rep.steal_matrix.size(); ++v)
-      headers.push_back("w" + std::to_string(v));
-    TextTable steals(std::move(headers));
-    for (std::size_t t = 0; t < rep.steal_matrix.size(); ++t) {
-      std::vector<std::string> row{"w" + std::to_string(t)};
-      for (std::size_t v = 0; v < rep.steal_matrix[t].size(); ++v)
-        row.push_back(std::to_string(rep.steal_matrix[t][v]));
-      steals.add_row(std::move(row));
-    }
-    steals.print(os);
-    os << "probes " << rep.steal_probes << ", hits " << rep.steal_hits
-       << ", misses " << rep.steal_misses << "\n";
-  }
-
   os << "\n== scheduling events ==\n";
   TextTable counts({"event", "count"});
   for (std::size_t k = 0; k < kEventKindCount; ++k)
@@ -483,13 +410,6 @@ inline TraceReport analyze_trace(const std::vector<TraceEvent>& events) {
        << " committed units (" << format_ns(rep.waste.total_ns())
        << " compute); pop-time cutoffs " << rep.waste.pop_cutoffs << "\n";
   }
-
-  // Always printed, even all-zero: the telemetry smoke job greps these
-  // rows on traces from runs with the controller off.
-  os << "\n== speculation control ==\n";
-  os << "demotions " << rep.waste.demotions << ", re-windows "
-     << rep.waste.rewindows << ", stolen-then-cancelled "
-     << rep.waste.stolen_then_cancelled << "\n";
 
   os << "\n== critical path ==\n";
   os << "trace extent      " << format_ns(rep.extent()) << "\n";

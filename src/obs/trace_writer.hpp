@@ -7,7 +7,7 @@
 // (ph "X", microsecond ts/dur with ns precision kept in the fractional
 // part); instants become thread-scoped instant events (ph "i").  Every
 // event carries the required keys ph, ts, pid, tid, name; the engine-node /
-// shard / arg payload travels in "args".
+// arg payload travels in "args".
 //
 // Each exported session is one Perfetto *process*: per-worker tracks are
 // that process's threads (tid = worker id), the engine tracer gets its own
@@ -65,8 +65,6 @@ inline void append_trace_events(std::string& out, const TraceSession& session,
     if (e.node != kNoTraceNode)
       args.field("node", static_cast<std::uint64_t>(e.node));
     args.field("arg", static_cast<std::uint64_t>(e.arg));
-    if (e.shard != kNoTraceShard)
-      args.field("shard", static_cast<int>(e.shard));
     // Instants can carry a payload duration (kUnitCommit: the unit's
     // measured compute ns, read back by the waste replay).  It rides in
     // args — a ph "i" event with a top-level dur is not valid trace-event

@@ -26,31 +26,9 @@ struct CostModel {
   /// *batch* (SimExecutor's batch size), not once per unit, mirroring the
   /// thread runtime's batched scheduler where one lock acquisition pulls or
   /// commits a whole run buffer.  At batch = 1 each unit pays one acquire
-  /// and one commit, the paper's setup.  With a sharded heap (SimExecutor's
-  /// queue_shards > 1) each access occupies only the shard that the
-  /// engine's parent-owner routing assigns the popped/committed node, so
-  /// accesses to different shards overlap in time — the delay shrinks, the
-  /// price per access does not.
+  /// and one commit, the paper's setup.
   std::uint64_t per_heap_acquire = 1;
   std::uint64_t per_heap_commit = 1;
-  /// Per-shard lock footprint of a cross-shard commit under the per-shard
-  /// locking engine (DESIGN.md §12): each *additional* shard in the
-  /// committed node's ancestor touch set extends the commit's serialized
-  /// section by this much, and the section blocks every touched shard for
-  /// its whole duration — modeling the flat-combining apply round, which
-  /// locks its union touch set in ascending order.  0 (the default) keeps
-  /// the single-shard commit model — and every existing simulated figure —
-  /// bit-identical; benches raise it to study cross-shard commit pressure.
-  std::uint64_t per_shard_lock = 0;
-  /// Epoch-validated read of a published high ancestor (DESIGN.md §13): a
-  /// frontier-truncated commit leaves its high ancestors out of the locked
-  /// touch set and instead charges one of these per published ancestor on
-  /// the chain — to the committing processor only, since the read is
-  /// lock-free and blocks no shard.  0 (the default) keeps every existing
-  /// simulated figure bit-identical; only meaningful alongside
-  /// per_shard_lock > 0, since the figures it offsets are the cross-shard
-  /// lock sections truncation removed.
-  std::uint64_t per_published_read = 0;
   /// Transposition-table traffic.  Probes and stores are lock-free (one
   /// cache line each), so unlike queue ops they are charged to the issuing
   /// processor only — cheap, but not free, which keeps a table-heavy search

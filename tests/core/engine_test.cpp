@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -297,443 +297,145 @@ TEST(EngineBatch, QueuedCountReflectsQueues) {
   EXPECT_EQ(engine.queued_count(), 0u) << "a huge batch drains the queues";
 }
 
-// --- sharded heap ---------------------------------------------------------
-
-core::EngineConfig sharded_config(int depth, int serial_depth, int shards) {
-  core::EngineConfig cfg = config_for(depth, serial_depth);
-  cfg.heap_shards = shards;
-  return cfg;
-}
-
-TEST(EngineShards, GlobalPopOrderIsShardInvariant) {
-  // The load-bearing claim of the sharded heap: the global acquire walks
-  // the identical schedule at every shard count, because the maximum over
-  // shard tops under one total-order comparator is the single-heap maximum.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const UniformRandomTree g(4, 4, seed + 40, -80, 80);
-    using EngineT = core::Engine<UniformRandomTree>;
-    EngineT base(g, sharded_config(4, 2, 1));
-    std::vector<std::uint32_t> base_order;
-    while (!base.done()) {
-      auto item = base.acquire();
-      if (!item) break;
-      base_order.push_back(item->node);
-      base.commit(*item, base.compute(*item));
-    }
-    for (const int shards : {2, 4, 8}) {
-      EngineT e(g, sharded_config(4, 2, shards));
-      std::vector<std::uint32_t> order;
-      while (!e.done()) {
-        auto item = e.acquire();
-        if (!item) break;
-        order.push_back(item->node);
-        e.commit(*item, e.compute(*item));
-      }
-      EXPECT_EQ(order, base_order) << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(e.root_value(), base.root_value());
-      EXPECT_EQ(e.stats().search.nodes_generated(),
-                base.stats().search.nodes_generated());
-    }
-  }
-}
-
-TEST(EngineShards, HomeShardRoutesByParent) {
-  const UniformRandomTree g(4, 4, 7, -50, 50);
-  core::Engine<UniformRandomTree> engine(g, sharded_config(4, 2, 4));
-  EXPECT_EQ(engine.shard_count(), 4u);
-  // Node 0 is the root; it has no parent, so it homes on shard 0.
-  EXPECT_EQ(engine.home_shard(0), 0u) << "the root homes on 0";
-}
-
-TEST(EngineShards, ShardLocalAcquireDrainsOnlyThatShard) {
-  // Pop every unit shard by shard: each item must be homed where it was
-  // popped, and the union must cover exactly what a global drain yields.
-  const UniformRandomTree g(4, 4, 19, -50, 50);
-  using EngineT = core::Engine<UniformRandomTree>;
-  const std::size_t S = 4;
-  EngineT engine(g, sharded_config(4, 2, static_cast<int>(S)));
-  // Expand a few levels first so several shards hold work.
-  for (int rounds = 0; rounds < 8 && !engine.done(); ++rounds) {
-    auto item = engine.acquire();
-    if (!item) break;
-    engine.commit(*item, engine.compute(*item));
-  }
-  std::size_t drained = 0;
-  for (std::size_t s = 0; s < S; ++s) {
-    std::vector<core::WorkItem> items;
-    const std::size_t got = engine.acquire_batch_shard(s, 64, items);
-    EXPECT_EQ(got, items.size());
-    for (const core::WorkItem& item : items)
-      EXPECT_EQ(engine.home_shard(item.node), s)
-          << "shard-local pop returned a foreign node";
-    drained += got;
-  }
-  EXPECT_EQ(engine.queued_count(), 0u)
-      << "draining every shard empties the heap";
-  (void)drained;
-}
-
-TEST(EngineShards, ShardedBatchDriverMatchesNegmax) {
-  // Round-robin shard-local batches (the stealing scheduler's refill
-  // pattern, serialized): the value must still equal negmax.
-  for (const int shards : {2, 4}) {
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      const UniformRandomTree g(3, 5, seed, -60, 60);
-      using EngineT = core::Engine<UniformRandomTree>;
-      EngineT engine(g, sharded_config(5, 3, shards));
-      std::vector<core::WorkItem> items;
-      std::vector<EngineT::CommitEntry> batch;
-      std::size_t next = 0;
-      while (!engine.done()) {
-        items.clear();
-        batch.clear();
-        std::size_t got = 0;
-        for (std::size_t probe = 0; probe < static_cast<std::size_t>(shards);
-             ++probe) {
-          got = engine.acquire_batch_shard(
-              (next + probe) % static_cast<std::size_t>(shards), 4, items);
-          if (got > 0) {
-            next = (next + probe + 1) % static_cast<std::size_t>(shards);
-            break;
-          }
-        }
-        if (got == 0) break;
-        for (const core::WorkItem& item : items)
-          batch.push_back({item, engine.compute(item)});
-        engine.commit_batch(batch);
-      }
-      ASSERT_TRUE(engine.done()) << "shards=" << shards << " seed=" << seed;
-      EXPECT_EQ(engine.root_value(), negmax_search(g, 5).value)
-          << "shards=" << shards << " seed=" << seed;
-    }
-  }
-}
-
-// --- flat-combining commit path -------------------------------------------
+// --- batched commits ------------------------------------------------------
 
 TEST(EngineCombine, CombinedCommitsMatchSequentialCommits) {
-  // The soundness claim of flat combining (DESIGN.md §12): a combiner
-  // applying N published records in one drain round must leave the engine
-  // in exactly the state N sequential commit_batch calls (same records,
-  // same order) would.  Twin engines, identical up to a set of uncommitted
-  // batches; one publishes them all and combines once, the other commits
-  // them one by one.  Every observable — the complete remaining pop order,
-  // the root value, the tree, the stats block — must coincide.
-  for (const int shards : {1, 4}) {
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      const UniformRandomTree g(4, 5, seed + 60, -80, 80);
-      using EngineT = core::Engine<UniformRandomTree>;
-      EngineT combined(g, sharded_config(5, 3, shards));
-      EngineT sequential(g, sharded_config(5, 3, shards));
-      // Walk both engines through the same prefix so several units are
-      // ready and ancestor chains span shards.
-      for (int r = 0; r < 6; ++r) {
-        auto a = combined.acquire();
-        auto b = sequential.acquire();
-        ASSERT_EQ(a.has_value(), b.has_value());
-        if (!a.has_value()) break;
-        ASSERT_EQ(a->node, b->node);
-        combined.commit(*a, combined.compute(*a));
-        sequential.commit(*b, sequential.compute(*b));
-      }
-      // Pull the same uncommitted units from each twin, computed but held.
-      constexpr std::size_t kPer = 2;
-      std::vector<core::WorkItem> ca, sa;
-      combined.acquire_batch(6, ca);
-      sequential.acquire_batch(6, sa);
-      ASSERT_EQ(ca.size(), sa.size());
-      std::vector<std::vector<EngineT::CommitEntry>> cbatches, sbatches;
-      for (std::size_t i = 0; i < ca.size(); i += kPer) {
-        cbatches.emplace_back();
-        sbatches.emplace_back();
-        for (std::size_t j = i; j < std::min(i + kPer, ca.size()); ++j) {
-          ASSERT_EQ(ca[j].node, sa[j].node);
-          cbatches.back().push_back({ca[j], combined.compute(ca[j])});
-          sbatches.back().push_back({sa[j], sequential.compute(sa[j])});
-        }
-      }
-      // Publish every record first, then apply them all in one combiner
-      // drain round; the twin commits the identical records sequentially.
-      std::deque<EngineT::PendingCommit> pending(cbatches.size());
-      for (std::size_t i = 0; i < cbatches.size(); ++i)
-        combined.publish_commit(cbatches[i], pending[i]);
-      combined.combine_published();
-      for (EngineT::PendingCommit& pc : pending)
-        EXPECT_TRUE(pc.applied.load()) << "combiner left a record behind";
-      for (std::vector<EngineT::CommitEntry>& b : sbatches)
-        sequential.commit_batch(b);
-      // From here the engines must be indistinguishable: drain both to
-      // completion and compare every observable.
-      std::vector<std::uint32_t> corder, sorder;
-      while (!combined.done()) {
-        auto item = combined.acquire();
-        if (!item.has_value()) break;
-        corder.push_back(item->node);
-        combined.commit(*item, combined.compute(*item));
-      }
-      while (!sequential.done()) {
-        auto item = sequential.acquire();
-        if (!item.has_value()) break;
-        sorder.push_back(item->node);
-        sequential.commit(*item, sequential.compute(*item));
-      }
-      EXPECT_EQ(corder, sorder) << "shards=" << shards << " seed=" << seed;
-      ASSERT_TRUE(combined.done());
-      ASSERT_TRUE(sequential.done());
-      EXPECT_EQ(combined.root_value(), sequential.root_value());
-      EXPECT_EQ(combined.root_value(), negmax_search(g, 5).value);
-      EXPECT_EQ(combined.tree_size(), sequential.tree_size());
-      const core::EngineStats cs = combined.stats();
-      const core::EngineStats ss = sequential.stats();
-      EXPECT_EQ(cs.units_processed, ss.units_processed);
-      EXPECT_EQ(cs.search.nodes_generated(), ss.search.nodes_generated());
-      EXPECT_EQ(cs.search.leaves_evaluated, ss.search.leaves_evaluated);
-      EXPECT_EQ(cs.promotions_mandatory, ss.promotions_mandatory);
-      EXPECT_EQ(cs.promotions_speculative, ss.promotions_speculative);
-      EXPECT_EQ(cs.refutations_dispatched, ss.refutations_dispatched);
-      EXPECT_EQ(cs.cutoffs_at_pop, ss.cutoffs_at_pop);
-      const core::EngineLockStats ls = combined.lock_stats();
-      EXPECT_GE(ls.combine_records, cbatches.size())
-          << "published records must be accounted as combined";
-    }
-  }
-}
-
-// --- epoch publication + frontier truncation (DESIGN.md §13) ---------------
-
-core::EngineConfig frontier_config(int depth, int serial_depth, int shards,
-                                   int frontier,
-                                   core::PlacementMode placement =
-                                       core::PlacementMode::kParentMod) {
-  core::EngineConfig cfg = sharded_config(depth, serial_depth, shards);
-  cfg.publish_frontier = frontier;
-  cfg.placement = placement;
-  return cfg;
-}
-
-TEST(EngineFrontier, EpochPathIsByteIdenticalToFullLock) {
-  // The determinism claim of the truncated-commit path: with the publish
-  // frontier on, every commit runs through truncated touch sets, deferred
-  // backups and epoch publication — yet the *committed-state sequence*
-  // (popped node, root value, tree size, units processed, after every
-  // single commit) must be byte-identical to the PR 5 full-lock path.
-  // Twin engines, frontier 0 vs 4, driven in lockstep.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const UniformRandomTree g(4, 6, seed + 90, -90, 90);
+  // A batch commit applies its entries back to back in one critical
+  // section, exactly as the same entries committed record by record would.
+  // Twin engines, identical up to a set of uncommitted batches; one commits
+  // them all in one commit_batch call, the other commits them one record at
+  // a time.  Every observable — the complete remaining pop order, the root
+  // value, the tree, the stats block — must coincide.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const UniformRandomTree g(4, 5, seed + 60, -80, 80);
     using EngineT = core::Engine<UniformRandomTree>;
-    EngineT full(g, frontier_config(6, 4, 4, 0));
-    EngineT truncated(g, frontier_config(6, 4, 4, 4));
-    while (!full.done() || !truncated.done()) {
-      ASSERT_EQ(full.done(), truncated.done()) << "seed=" << seed;
-      auto a = full.acquire();
-      auto b = truncated.acquire();
-      ASSERT_EQ(a.has_value(), b.has_value()) << "seed=" << seed;
+    EngineT combined(g, config_for(5, 3));
+    EngineT sequential(g, config_for(5, 3));
+    // Walk both engines through the same prefix so several units are ready.
+    for (int r = 0; r < 6; ++r) {
+      auto a = combined.acquire();
+      auto b = sequential.acquire();
+      ASSERT_EQ(a.has_value(), b.has_value());
       if (!a.has_value()) break;
-      ASSERT_EQ(a->node, b->node) << "seed=" << seed;
-      ASSERT_EQ(static_cast<int>(a->kind), static_cast<int>(b->kind));
-      full.commit(*a, full.compute(*a));
-      truncated.commit(*b, truncated.compute(*b));
-      // Committed state must coincide after *every* commit, not just at
-      // the end — truncation may not even transiently reorder backups.
-      ASSERT_EQ(full.root_value(), truncated.root_value()) << "seed=" << seed;
-      ASSERT_EQ(full.tree_size(), truncated.tree_size()) << "seed=" << seed;
-      ASSERT_EQ(full.stats().units_processed,
-                truncated.stats().units_processed);
+      ASSERT_EQ(a->node, b->node);
+      combined.commit(*a, combined.compute(*a));
+      sequential.commit(*b, sequential.compute(*b));
     }
-    ASSERT_TRUE(full.done());
-    ASSERT_TRUE(truncated.done());
-    EXPECT_EQ(full.root_value(), negmax_search(g, 6).value);
-    const core::EngineStats fs = full.stats();
-    const core::EngineStats ts = truncated.stats();
-    EXPECT_EQ(fs.search.nodes_generated(), ts.search.nodes_generated());
-    EXPECT_EQ(fs.promotions_speculative, ts.promotions_speculative);
-    EXPECT_EQ(fs.refutations_dispatched, ts.refutations_dispatched);
-    EXPECT_EQ(fs.cutoffs_at_pop, ts.cutoffs_at_pop);
-    // The truncated twin must actually have exercised the new path.
-    EXPECT_GT(truncated.lock_stats().truncated_records, 0u)
-        << "frontier 4 on a depth-6 tree must truncate some commits";
-    EXPECT_EQ(full.lock_stats().truncated_records, 0u)
-        << "frontier 0 must never truncate";
-  }
-}
-
-TEST(EngineFrontier, FrontierSweepKeepsNegmax) {
-  // Any frontier depth — including degenerate ones above the serial
-  // cutover and below every commit — must leave the result exact.
-  const UniformRandomTree g(4, 5, 23, -70, 70);
-  const Value oracle = negmax_search(g, 5).value;
-  for (const int frontier : {1, 2, 3, 5, 9}) {
-    using EngineT = core::Engine<UniformRandomTree>;
-    EngineT engine(g, frontier_config(5, 3, 4, frontier));
-    while (!engine.done()) {
-      auto item = engine.acquire();
-      if (!item) break;
-      engine.commit(*item, engine.compute(*item));
-    }
-    ASSERT_TRUE(engine.done()) << "frontier=" << frontier;
-    EXPECT_EQ(engine.root_value(), oracle) << "frontier=" << frontier;
-  }
-}
-
-TEST(EngineFrontier, TruncatedTouchSetsLeaveRootShardOut) {
-  // The point of the tentpole: under subtree-affinity placement a deep
-  // commit's truncated touch set must not contain shard 0 (the root's
-  // home), while the full-chain set of the frontier-off twin always does.
-  // Lockstep twins; the truncated set must also always be a subset of the
-  // full set (truncation only ever removes shards).
-  const UniformRandomTree g(4, 6, 31, -90, 90);
-  using EngineT = core::Engine<UniformRandomTree>;
-  const auto mode = core::PlacementMode::kSubtreeAffinity;
-  EngineT full(g, frontier_config(6, 4, 8, 0, mode));
-  EngineT truncated(g, frontier_config(6, 4, 8, 4, mode));
-  std::size_t root_free = 0;
-  std::size_t commits = 0;
-  while (!full.done()) {
-    auto a = full.acquire();
-    auto b = truncated.acquire();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    ASSERT_EQ(a->node, b->node);
-    std::vector<std::uint32_t> fset, tset;
-    full.commit_touch_shards(a->node, fset);
-    truncated.commit_touch_shards(b->node, tset);
-    for (const std::uint32_t s : tset)
-      EXPECT_NE(std::find(fset.begin(), fset.end(), s), fset.end())
-          << "truncation invented a shard";
-    const bool full_has_root =
-        std::find(fset.begin(), fset.end(), 0u) != fset.end();
-    const bool trunc_has_root =
-        std::find(tset.begin(), tset.end(), 0u) != tset.end();
-    if (full_has_root && !trunc_has_root) ++root_free;
-    ++commits;
-    full.commit(*a, full.compute(*a));
-    truncated.commit(*b, truncated.compute(*b));
-  }
-  ASSERT_TRUE(truncated.done());
-  EXPECT_EQ(full.root_value(), truncated.root_value());
-  EXPECT_GT(commits, 0u);
-  EXPECT_GT(root_free, 0u)
-      << "no commit ever dropped the root shard: truncation is not engaging";
-}
-
-TEST(EngineFrontier, AdaptiveDerivationFormula) {
-  // kAdaptiveFrontier resolution (core/shard_policy.hpp): 0 at one shard,
-  // 2 + log2(S) otherwise, capped at serial_depth - 1 and search_depth.
-  EXPECT_EQ(core::derived_publish_frontier(7, 5, 1), 0);
-  EXPECT_EQ(core::derived_publish_frontier(7, 5, 2), 3);
-  EXPECT_EQ(core::derived_publish_frontier(7, 5, 4), 4);  // historical default
-  EXPECT_EQ(core::derived_publish_frontier(7, 5, 8), 4);  // capped at serial-1
-  EXPECT_EQ(core::derived_publish_frontier(10, 7, 8), 5);
-  EXPECT_EQ(core::derived_publish_frontier(7, 5, 16), 4);
-  EXPECT_EQ(core::derived_publish_frontier(5, 0, 4), 0);  // degenerate cutover
-  EXPECT_EQ(core::derived_publish_frontier(2, 2, 64), 1);  // search_depth floor
-}
-
-TEST(EngineFrontier, AdaptiveDefaultResolvesAtConstruction) {
-  const UniformRandomTree g(4, 5, 11, -60, 60);
-  using EngineT = core::Engine<UniformRandomTree>;
-  core::EngineConfig cfg = sharded_config(5, 3, 4);
-  ASSERT_EQ(cfg.publish_frontier, core::kAdaptiveFrontier)
-      << "the config default must be the adaptive sentinel";
-  EngineT adaptive(g, cfg);
-  EXPECT_EQ(adaptive.publish_frontier(),
-            core::derived_publish_frontier(5, 3, 4));
-  // An explicit value is an override, never re-derived.
-  cfg.publish_frontier = 2;
-  EngineT pinned(g, cfg);
-  EXPECT_EQ(pinned.publish_frontier(), 2);
-}
-
-TEST(EngineFrontier, AdaptiveValuesAreByteIdenticalToFullLock) {
-  // Bit-identity twin test at each *derived* frontier value: for every
-  // shard count the adaptive default may pick, the epoch/truncation path it
-  // enables must produce the same committed-state sequence as the full-lock
-  // twin (frontier 0), commit by commit — the same guarantee
-  // EpochPathIsByteIdenticalToFullLock pins for the historical fixed 4.
-  for (const int shards : {2, 4, 8}) {
-    const UniformRandomTree g(4, 6, 57 + static_cast<std::uint64_t>(shards),
-                              -90, 90);
-    using EngineT = core::Engine<UniformRandomTree>;
-    EngineT full(g, frontier_config(6, 4, shards, 0));
-    EngineT adaptive(g, frontier_config(6, 4, shards, core::kAdaptiveFrontier));
-    EXPECT_EQ(adaptive.publish_frontier(),
-              core::derived_publish_frontier(6, 4, shards));
-    EXPECT_GT(adaptive.publish_frontier(), 0) << "shards=" << shards;
-    while (!full.done() || !adaptive.done()) {
-      ASSERT_EQ(full.done(), adaptive.done()) << "shards=" << shards;
-      auto a = full.acquire();
-      auto b = adaptive.acquire();
-      ASSERT_EQ(a.has_value(), b.has_value()) << "shards=" << shards;
-      if (!a.has_value()) break;
-      ASSERT_EQ(a->node, b->node) << "shards=" << shards;
-      full.commit(*a, full.compute(*a));
-      adaptive.commit(*b, adaptive.compute(*b));
-      ASSERT_EQ(full.root_value(), adaptive.root_value()) << "shards=" << shards;
-      ASSERT_EQ(full.tree_size(), adaptive.tree_size()) << "shards=" << shards;
-    }
-    ASSERT_TRUE(full.done());
-    ASSERT_TRUE(adaptive.done());
-    EXPECT_EQ(full.root_value(), negmax_search(g, 6).value);
-    EXPECT_EQ(full.stats().search.nodes_generated(),
-              adaptive.stats().search.nodes_generated());
-    EXPECT_GT(adaptive.lock_stats().truncated_records, 0u)
-        << "derived frontier " << adaptive.publish_frontier()
-        << " must actually truncate at " << shards << " shards";
-  }
-}
-
-TEST(EngineShards, SubtreePlacementPopOrderInvariant) {
-  // Placement moves queue entries between shards; it must never move the
-  // schedule.  The single-heap pop order is the oracle for both placement
-  // modes at every shard count.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const UniformRandomTree g(4, 4, seed + 40, -80, 80);
-    using EngineT = core::Engine<UniformRandomTree>;
-    EngineT base(g, sharded_config(4, 2, 1));
-    std::vector<std::uint32_t> base_order;
-    while (!base.done()) {
-      auto item = base.acquire();
-      if (!item) break;
-      base_order.push_back(item->node);
-      base.commit(*item, base.compute(*item));
-    }
-    for (const int shards : {2, 4, 8}) {
-      EngineT e(g, frontier_config(4, 2, shards, 4,
-                                   core::PlacementMode::kSubtreeAffinity));
-      std::vector<std::uint32_t> order;
-      while (!e.done()) {
-        auto item = e.acquire();
-        if (!item) break;
-        order.push_back(item->node);
-        e.commit(*item, e.compute(*item));
+    // Pull the same uncommitted units from each twin, computed but held.
+    constexpr std::size_t kPer = 2;
+    std::vector<core::WorkItem> ca, sa;
+    combined.acquire_batch(6, ca);
+    sequential.acquire_batch(6, sa);
+    ASSERT_EQ(ca.size(), sa.size());
+    EXPECT_EQ(combined.outstanding(), ca.size());
+    std::vector<EngineT::CommitEntry> all;
+    std::vector<std::vector<EngineT::CommitEntry>> sbatches;
+    for (std::size_t i = 0; i < ca.size(); i += kPer) {
+      sbatches.emplace_back();
+      for (std::size_t j = i; j < std::min(i + kPer, ca.size()); ++j) {
+        ASSERT_EQ(ca[j].node, sa[j].node);
+        all.push_back({ca[j], combined.compute(ca[j])});
+        sbatches.back().push_back({sa[j], sequential.compute(sa[j])});
       }
-      EXPECT_EQ(order, base_order) << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(e.root_value(), base.root_value());
     }
+    const std::uint64_t locks_before = combined.lock_stats().acquisitions;
+    combined.commit_batch(all);
+    EXPECT_EQ(combined.lock_stats().acquisitions, locks_before + 1)
+        << "one batch commit is one critical section";
+    for (std::vector<EngineT::CommitEntry>& b : sbatches)
+      sequential.commit_batch(b);
+    EXPECT_EQ(combined.outstanding(), 0u);
+    EXPECT_EQ(sequential.outstanding(), 0u);
+    // From here the engines must be indistinguishable: drain both to
+    // completion and compare every observable.
+    std::vector<std::uint32_t> corder, sorder;
+    while (!combined.done()) {
+      auto item = combined.acquire();
+      if (!item.has_value()) break;
+      corder.push_back(item->node);
+      combined.commit(*item, combined.compute(*item));
+    }
+    while (!sequential.done()) {
+      auto item = sequential.acquire();
+      if (!item.has_value()) break;
+      sorder.push_back(item->node);
+      sequential.commit(*item, sequential.compute(*item));
+    }
+    EXPECT_EQ(corder, sorder) << "seed=" << seed;
+    ASSERT_TRUE(combined.done());
+    ASSERT_TRUE(sequential.done());
+    EXPECT_EQ(combined.root_value(), sequential.root_value());
+    EXPECT_EQ(combined.root_value(), negmax_search(g, 5).value);
+    EXPECT_EQ(combined.tree_size(), sequential.tree_size());
+    const core::EngineStats cs = combined.stats();
+    const core::EngineStats ss = sequential.stats();
+    EXPECT_EQ(cs.units_processed, ss.units_processed);
+    EXPECT_EQ(cs.search.nodes_generated(), ss.search.nodes_generated());
+    EXPECT_EQ(cs.search.leaves_evaluated, ss.search.leaves_evaluated);
+    EXPECT_EQ(cs.promotions_mandatory, ss.promotions_mandatory);
+    EXPECT_EQ(cs.promotions_speculative, ss.promotions_speculative);
+    EXPECT_EQ(cs.refutations_dispatched, ss.refutations_dispatched);
+    EXPECT_EQ(cs.cutoffs_at_pop, ss.cutoffs_at_pop);
   }
 }
 
-TEST(EngineShards, SubtreeAffinityHomesFollowRootChildren) {
-  // The root's children (ids 1..degree after the root expansion) carry
-  // distinct subtree tags 0..degree-1, so with S == degree their homes are
-  // a permutation of every shard — disjoint subtrees never share a home —
-  // and the root itself stays on shard 0.
-  const UniformRandomTree g(4, 4, 7, -50, 50);
+// --- liveness accounting ----------------------------------------------------
+
+TEST(EngineLiveness, OutstandingCountsHandedOutUnits) {
+  const UniformRandomTree g(4, 4, 5, -50, 50);
   using EngineT = core::Engine<UniformRandomTree>;
-  EngineT engine(g, frontier_config(4, 2, 4, 4,
-                                    core::PlacementMode::kSubtreeAffinity));
-  // Expand the root so its children exist.
-  auto item = engine.acquire();
-  ASSERT_TRUE(item.has_value());
-  ASSERT_EQ(item->node, 0u);
-  engine.commit(*item, engine.compute(*item));
-  EXPECT_EQ(engine.home_shard(0), 0u);
-  std::vector<std::size_t> homes;
-  for (std::uint32_t c = 1; c <= 4; ++c)
-    homes.push_back(engine.home_shard(c));
-  std::sort(homes.begin(), homes.end());
-  EXPECT_EQ(homes, (std::vector<std::size_t>{0, 1, 2, 3}))
-      << "root subtrees must spread over all shards, one each";
+  EngineT engine(g, config_for(4, 2));
+  EXPECT_EQ(engine.outstanding(), 0u);
+  auto root = engine.acquire();
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(engine.outstanding(), 1u);
+  // Nothing else is ready while the root is out, and that is not a stall:
+  // the outstanding unit can still create work.
+  EXPECT_FALSE(engine.acquire().has_value());
+  EXPECT_FALSE(engine.stalled());
+  engine.commit(*root, engine.compute(*root));
+  EXPECT_EQ(engine.outstanding(), 0u);
+  std::vector<core::WorkItem> items;
+  const std::size_t got = engine.acquire_batch(3, items);
+  EXPECT_EQ(engine.outstanding(), got);
+  std::vector<EngineT::CommitEntry> batch;
+  for (const core::WorkItem& item : items)
+    batch.push_back({item, engine.compute(item)});
+  engine.commit_batch(batch);
+  EXPECT_EQ(engine.outstanding(), 0u);
+  EXPECT_TRUE(engine.stall_report().empty());
+}
+
+TEST(EngineLivenessDeathTest, CommitOfAUnitNeverAcquiredAborts) {
+  const UniformRandomTree g(4, 4, 5, -50, 50);
+  using EngineT = core::Engine<UniformRandomTree>;
+  EngineT engine(g, config_for(4, 2));
+  auto root = engine.acquire();
+  ASSERT_TRUE(root.has_value());
+  auto result = engine.compute(*root);
+  engine.commit(*root, std::move(result));
+  // The same unit a second time: it is no longer outstanding.
+  EXPECT_DEATH(engine.commit(*root, engine.compute(*root)),
+               "commit of a unit never acquired");
+}
+
+TEST(EngineLiveness, DumpListsOutstandingUnitsNextToInFlightFlags) {
+  const UniformRandomTree g(4, 4, 5, -50, 50);
+  core::Engine<UniformRandomTree> engine(g, config_for(4, 2));
+  auto root = engine.acquire();
+  ASSERT_TRUE(root.has_value());
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  engine.debug_dump_unfinished(f);
+  std::rewind(f);
+  std::string text;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+    text.push_back(static_cast<char>(c));
+  std::fclose(f);
+  EXPECT_NE(text.find("outstanding units (1): 0\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("in-flight flags    (1): 0\n"), std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -16,14 +16,13 @@ namespace ers::obs {
 namespace {
 
 /// A small session exercising every corner of the schema: spans, instants,
-/// node/shard payloads, the sentinel omissions, and the engine track.
+/// node/arg payloads, the sentinel omissions, and the engine track.
 TraceSession make_session() {
   TraceSession s(2, 64);
   s.worker(0).span(EventKind::kComputeSpan, 1000, 2500, /*node=*/42);
-  s.worker(0).instant(EventKind::kAcquireBatch, 900, 42, /*arg=*/3,
-                      /*shard=*/1);
+  s.worker(0).instant(EventKind::kAcquireBatch, 900, 42, /*arg=*/3);
   s.worker(1).span(EventKind::kLockWaitSpan, 0, 450);
-  s.worker(1).instant(EventKind::kStealHit, 500, 7, /*arg=*/0);
+  s.worker(1).instant(EventKind::kWakeup, 500, 7, /*arg=*/0);
   s.engine_tracer().instant(EventKind::kUnitCommit, 2600, 42, 17);
   return s;
 }
@@ -69,9 +68,9 @@ TEST(PerfettoWriter, GoldenSpanLine) {
                       "\"args\":{\"node\":42,\"arg\":0}"),
             std::string::npos)
       << json;
-  // Instants keep the shard payload and the thread scope.
+  // Instants keep the node/arg payload and the thread scope.
   EXPECT_NE(json.find("\"name\":\"acquire_batch\",\"s\":\"t\","
-                      "\"args\":{\"node\":42,\"arg\":3,\"shard\":1}"),
+                      "\"args\":{\"node\":42,\"arg\":3}"),
             std::string::npos)
       << json;
   // The engine track is named.

@@ -57,14 +57,14 @@ const std::map<std::string, Row>& golden() {
     {"serial/R3/seed202", {6276LL, 32053LL, 107147LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -6401235945127204950LL}},
     {"serial/R3/seed303", {6150LL, 37258LL, 122893LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 2318962672840707277LL}},
     {"serial/ties/seed1", {1LL, 1142LL, 2465LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 1088095878528040266LL}},
-    {"driver/ties/seed1", {1LL, 1142LL, 2465LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 139LL, 80LL, 8LL, 0LL, 52LL, 16LL, 0LL, 0LL, 0LL, 0LL, 0LL, 1088095878528040266LL}},
-    {"sim16/ties/seed1", {1LL, 2278LL, 233LL, 480LL, 1743LL, 3601LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 233LL, 135LL, 12LL, 14LL, 81LL, 12LL, 7LL, 0LL, 0LL, 0LL, 0LL, 2824974108576443785LL}},
+    {"driver/ties/seed1", {1LL, 1142LL, 2465LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 139LL, 80LL, 8LL, 0LL, 52LL, 16LL, 0LL, 1088095878528040266LL}},
+    {"sim16/ties/seed1", {1LL, 2278LL, 233LL, 480LL, 1743LL, 3601LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 233LL, 135LL, 12LL, 14LL, 81LL, 12LL, 7LL, 2824974108576443785LL}},
     {"serial/ties/seed2", {1LL, 1336LL, 2894LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -4337111741515920604LL}},
-    {"driver/ties/seed2", {1LL, 1336LL, 2894LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 156LL, 88LL, 10LL, 0LL, 49LL, 16LL, 0LL, 0LL, 0LL, 0LL, 0LL, -4337111741515920604LL}},
-    {"sim16/ties/seed2", {1LL, 3069LL, 247LL, 495LL, 1966LL, 4139LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 247LL, 144LL, 10LL, 18LL, 74LL, 13LL, 7LL, 0LL, 0LL, 0LL, 0LL, -4337111741515920604LL}},
+    {"driver/ties/seed2", {1LL, 1336LL, 2894LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 156LL, 88LL, 10LL, 0LL, 49LL, 16LL, 0LL, -4337111741515920604LL}},
+    {"sim16/ties/seed2", {1LL, 3069LL, 247LL, 495LL, 1966LL, 4139LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 247LL, 144LL, 10LL, 18LL, 74LL, 13LL, 7LL, -4337111741515920604LL}},
     {"serial/ties/seed3", {1LL, 1465LL, 3147LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 7494218027808961171LL}},
-    {"driver/ties/seed3", {1LL, 1465LL, 3147LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 177LL, 98LL, 10LL, 0LL, 59LL, 24LL, 0LL, 0LL, 0LL, 0LL, 0LL, 7494218027808961171LL}},
-    {"sim16/ties/seed3", {1LL, 4534LL, 349LL, 701LL, 2551LL, 5209LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 349LL, 204LL, 14LL, 16LL, 101LL, 20LL, 2LL, 0LL, 0LL, 0LL, 0LL, 4301657548509289377LL}},
+    {"driver/ties/seed3", {1LL, 1465LL, 3147LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 177LL, 98LL, 10LL, 0LL, 59LL, 24LL, 0LL, 7494218027808961171LL}},
+    {"sim16/ties/seed3", {1LL, 4534LL, 349LL, 701LL, 2551LL, 5209LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 349LL, 204LL, 14LL, 16LL, 101LL, 20LL, 2LL, 4301657548509289377LL}},
     {"serial/O1/d5/unsorted", {348LL, 2593LL, 13263LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -8116082148784276458LL}},
     {"serial/O1/d5/sorted", {348LL, 573LL, 1450LL, 439LL, 5235LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -8116082148784276458LL}},
     {"serial/O1/d5/tt+tables", {348LL, 556LL, 1351LL, 428LL, 5097LL, 2055LL, 35LL, 1592LL, 0LL, 0LL, 0LL, 0LL, 52LL, -8116082148784276458LL}},
@@ -92,24 +92,24 @@ const std::map<std::string, Row>& golden() {
     {"serial/O3/d7/unsorted", {452LL, 23760LL, 82847LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
     {"serial/O3/d7/sorted", {452LL, 11110LL, 31268LL, 2624LL, 37219LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
     {"serial/O3/d7/tt+tables", {452LL, 9966LL, 25363LL, 2443LL, 34415LL, 40173LL, 1764LL, 30760LL, 0LL, 0LL, 29LL, 4LL, 3247LL, -2801439731241252506LL}},
-    {"driver/R1", {-4474LL, 51540LL, 85468LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 9158LL, 4826LL, 516LL, 0LL, 1316LL, 152LL, 188LL, 0LL, 0LL, 0LL, 0LL, 4755308811874331991LL}},
-    {"sim16/R1", {-4474LL, 81230LL, 12005LL, 24010LL, 68848LL, 117274LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 12005LL, 6276LL, 509LL, 323LL, 1627LL, 133LL, 30LL, 0LL, 0LL, 0LL, 0LL, 4755308811874331991LL}},
-    {"driver/R2", {4549LL, 100305LL, 164234LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 6076LL, 3198LL, 341LL, 0LL, 928LL, 121LL, 123LL, 0LL, 0LL, 0LL, 0LL, -6401235945127204950LL}},
-    {"sim16/R2", {4549LL, 189838LL, 9803LL, 19606LL, 164872LL, 268984LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 9803LL, 5087LL, 388LL, 349LL, 1396LL, 110LL, 51LL, 0LL, 0LL, 0LL, 0LL, -6401235945127204950LL}},
-    {"driver/R3", {6150LL, 37258LL, 122893LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 13010LL, 7224LL, 266LL, 0LL, 1643LL, 169LL, 377LL, 0LL, 0LL, 0LL, 0LL, 2318962672840707277LL}},
-    {"sim16/R3", {6150LL, 172902LL, 20279LL, 40558LL, 59379LL, 201926LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 20279LL, 11190LL, 291LL, 454LL, 2097LL, 99LL, 28LL, 0LL, 0LL, 0LL, 0LL, 2318962672840707277LL}},
-    {"driver/O1", {374LL, 7994LL, 26578LL, 1972LL, 23396LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 3066LL, 1936LL, 101LL, 0LL, 835LL, 538LL, 107LL, 0LL, 0LL, 0LL, 0LL, 3638466054968655131LL}},
-    {"sim16/O1", {374LL, 50723LL, 5490LL, 10980LL, 13778LL, 49797LL, 3397LL, 39327LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5490LL, 3337LL, 131LL, 27LL, 1031LL, 549LL, 169LL, 0LL, 0LL, 0LL, 0LL, 3638466054968655131LL}},
-    {"driver/O2", {136LL, 17655LL, 42385LL, 3401LL, 46324LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5480LL, 3388LL, 172LL, 0LL, 1592LL, 1157LL, 61LL, 0LL, 0LL, 0LL, 0LL, -8618304672121220312LL}},
-    {"sim16/O2", {136LL, 79045LL, 8172LL, 16344LL, 25163LL, 69817LL, 4913LL, 65449LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 8172LL, 4929LL, 194LL, 20LL, 1886LL, 1152LL, 120LL, 0LL, 0LL, 0LL, 0LL, -8618304672121220312LL}},
-    {"driver/O3", {452LL, 11110LL, 31268LL, 2624LL, 37219LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 3936LL, 2630LL, 167LL, 0LL, 1628LL, 1384LL, 0LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
-    {"sim16/O3", {452LL, 47625LL, 5273LL, 10559LL, 13898LL, 40519LL, 3492LL, 48442LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5273LL, 3252LL, 172LL, 12LL, 1810LL, 1492LL, 1270LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
-    {"driver+tt/O1", {374LL, 7661LL, 24077LL, 1961LL, 23286LL, 34753LL, 827LL, 27995LL, 0LL, 0LL, 3LL, 0LL, 1517LL, 3057LL, 1927LL, 100LL, 0LL, 807LL, 518LL, 107LL, 0LL, 0LL, 0LL, 0LL, 3638466054968655131LL}},
-    {"sim16+tt/O1", {374LL, 55305LL, 5470LL, 10940LL, 12933LL, 44424LL, 3367LL, 38954LL, 63505LL, 1862LL, 51731LL, 0LL, 0LL, 4LL, 1LL, 4499LL, 5470LL, 3318LL, 119LL, 12LL, 989LL, 521LL, 155LL, 0LL, 0LL, 0LL, 0LL, 3638466054968655131LL}},
-    {"driver+tt/O2", {136LL, 16601LL, 36521LL, 3349LL, 45636LL, 57978LL, 2018LL, 42192LL, 0LL, 0LL, 1LL, 2LL, 5991LL, 5444LL, 3352LL, 165LL, 0LL, 1517LL, 1093LL, 79LL, 0LL, 0LL, 0LL, 0LL, -8618304672121220312LL}},
-    {"sim16+tt/O2", {136LL, 85890LL, 8278LL, 16556LL, 24100LL, 62541LL, 4941LL, 65730LL, 95100LL, 3091LL, 72276LL, 0LL, 0LL, 2LL, 1LL, 13432LL, 8278LL, 4981LL, 185LL, 14LL, 1811LL, 1082LL, 126LL, 0LL, 0LL, 0LL, 0LL, -8618304672121220312LL}},
-    {"driver+tt/O3", {452LL, 10155LL, 25405LL, 2593LL, 36794LL, 39277LL, 1888LL, 29342LL, 0LL, 0LL, 1LL, 6LL, 2657LL, 3915LL, 2609LL, 161LL, 0LL, 1489LL, 1260LL, 0LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
-    {"sim16+tt/O3", {452LL, 47164LL, 4740LL, 9495LL, 12623LL, 32790LL, 3149LL, 43705LL, 50176LL, 2313LL, 37838LL, 0LL, 0LL, 6LL, 2LL, 4124LL, 4740LL, 3157LL, 158LL, 20LL, 1650LL, 1232LL, 54LL, 0LL, 0LL, 0LL, 0LL, -2801439731241252506LL}},
+    {"driver/R1", {-4474LL, 51540LL, 85468LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 9158LL, 4826LL, 516LL, 0LL, 1316LL, 152LL, 188LL, 4755308811874331991LL}},
+    {"sim16/R1", {-4474LL, 81230LL, 12005LL, 24010LL, 68848LL, 117274LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 12005LL, 6276LL, 509LL, 323LL, 1627LL, 133LL, 30LL, 4755308811874331991LL}},
+    {"driver/R2", {4549LL, 100305LL, 164234LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 6076LL, 3198LL, 341LL, 0LL, 928LL, 121LL, 123LL, -6401235945127204950LL}},
+    {"sim16/R2", {4549LL, 189838LL, 9803LL, 19606LL, 164872LL, 268984LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 9803LL, 5087LL, 388LL, 349LL, 1396LL, 110LL, 51LL, -6401235945127204950LL}},
+    {"driver/R3", {6150LL, 37258LL, 122893LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 13010LL, 7224LL, 266LL, 0LL, 1643LL, 169LL, 377LL, 2318962672840707277LL}},
+    {"sim16/R3", {6150LL, 172902LL, 20279LL, 40558LL, 59379LL, 201926LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 20279LL, 11190LL, 291LL, 454LL, 2097LL, 99LL, 28LL, 2318962672840707277LL}},
+    {"driver/O1", {374LL, 7994LL, 26578LL, 1972LL, 23396LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 3066LL, 1936LL, 101LL, 0LL, 835LL, 538LL, 107LL, 3638466054968655131LL}},
+    {"sim16/O1", {374LL, 50723LL, 5490LL, 10980LL, 13778LL, 49797LL, 3397LL, 39327LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5490LL, 3337LL, 131LL, 27LL, 1031LL, 549LL, 169LL, 3638466054968655131LL}},
+    {"driver/O2", {136LL, 17655LL, 42385LL, 3401LL, 46324LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5480LL, 3388LL, 172LL, 0LL, 1592LL, 1157LL, 61LL, -8618304672121220312LL}},
+    {"sim16/O2", {136LL, 79045LL, 8172LL, 16344LL, 25163LL, 69817LL, 4913LL, 65449LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 8172LL, 4929LL, 194LL, 20LL, 1886LL, 1152LL, 120LL, -8618304672121220312LL}},
+    {"driver/O3", {452LL, 11110LL, 31268LL, 2624LL, 37219LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 3936LL, 2630LL, 167LL, 0LL, 1628LL, 1384LL, 0LL, -2801439731241252506LL}},
+    {"sim16/O3", {452LL, 47625LL, 5273LL, 10559LL, 13898LL, 40519LL, 3492LL, 48442LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 0LL, 5273LL, 3252LL, 172LL, 12LL, 1810LL, 1492LL, 1270LL, -2801439731241252506LL}},
+    {"driver+tt/O1", {374LL, 7661LL, 24077LL, 1961LL, 23286LL, 34753LL, 827LL, 27995LL, 0LL, 0LL, 3LL, 0LL, 1517LL, 3057LL, 1927LL, 100LL, 0LL, 807LL, 518LL, 107LL, 3638466054968655131LL}},
+    {"sim16+tt/O1", {374LL, 55305LL, 5470LL, 10940LL, 12933LL, 44424LL, 3367LL, 38954LL, 63505LL, 1862LL, 51731LL, 0LL, 0LL, 4LL, 1LL, 4499LL, 5470LL, 3318LL, 119LL, 12LL, 989LL, 521LL, 155LL, 3638466054968655131LL}},
+    {"driver+tt/O2", {136LL, 16601LL, 36521LL, 3349LL, 45636LL, 57978LL, 2018LL, 42192LL, 0LL, 0LL, 1LL, 2LL, 5991LL, 5444LL, 3352LL, 165LL, 0LL, 1517LL, 1093LL, 79LL, -8618304672121220312LL}},
+    {"sim16+tt/O2", {136LL, 85890LL, 8278LL, 16556LL, 24100LL, 62541LL, 4941LL, 65730LL, 95100LL, 3091LL, 72276LL, 0LL, 0LL, 2LL, 1LL, 13432LL, 8278LL, 4981LL, 185LL, 14LL, 1811LL, 1082LL, 126LL, -8618304672121220312LL}},
+    {"driver+tt/O3", {452LL, 10155LL, 25405LL, 2593LL, 36794LL, 39277LL, 1888LL, 29342LL, 0LL, 0LL, 1LL, 6LL, 2657LL, 3915LL, 2609LL, 161LL, 0LL, 1489LL, 1260LL, 0LL, -2801439731241252506LL}},
+    {"sim16+tt/O3", {452LL, 47164LL, 4740LL, 9495LL, 12623LL, 32790LL, 3149LL, 43705LL, 50176LL, 2313LL, 37838LL, 0LL, 0LL, 6LL, 2LL, 4124LL, 4740LL, 3157LL, 158LL, 20LL, 1650LL, 1232LL, 54LL, -2801439731241252506LL}},
   };
   return rows;
 }
@@ -129,8 +129,7 @@ void append_engine(Row& row, const core::EngineStats& e) {
   for (const std::uint64_t v :
        {e.units_processed, e.serial_units, e.promotions_mandatory,
         e.promotions_speculative, e.refutations_dispatched, e.cutoffs_at_pop,
-        e.dead_items_dropped, e.spec_demotions, e.spec_rewindows,
-        e.spec_budget_deferrals, e.steal_events})
+        e.dead_items_dropped})
     row.push_back(static_cast<long long>(v));
 }
 

@@ -3,8 +3,7 @@
 //
 //   trace_report <trace.json> [--pid N] [--metrics metrics.json]
 //
-// Prints per-worker busy/starve/lock timelines, the steal-migration
-// matrix, scheduling event counts, and the critical path through the unit
+// Prints per-worker busy/starve/lock timelines, scheduling event counts, and the critical path through the unit
 // dependency graph.  --pid selects one session of a multi-session file
 // (e.g. the simulated half of a sim-vs-threads diff trace); the default is
 // the first session in the file.  --metrics points at the consolidated
@@ -73,8 +72,6 @@ int print_memory_section(const std::string& path) {
       "engine.waste.sibling_resolution.units",
       "engine.waste.sibling_resolution.compute_ns",
       "engine.waste.dead_drop.cancels",
-      "engine.waste.spec_demoted.cancels",
-      "engine.waste.spec_rewindowed.cancels",
   };
   std::printf("\nwaste ledger (engine attribution, %s):\n", path.c_str());
   any = false;
